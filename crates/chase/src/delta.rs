@@ -25,16 +25,27 @@
 //! nulls in firing order) reproduces the from-scratch target bit for
 //! bit.
 //!
+//! The replay renumbers fresh nulls: a change early in trigger order
+//! shifts every null minted after it. The commit loop records the first
+//! null each trigger minted, and a trigger that fires in both runs maps
+//! its old nulls to its new ones. That null renaming ρ is strictly
+//! increasing on the nulls it maps; every other null is dead, and the
+//! facts mentioning it are dropped as removed.
+//!
 //! The target stage is incremental only when it is **Datalog**: every
 //! target tgd is existential-free and there are no egds. Then the
 //! target fixpoint is the unique least fixpoint of a monotone operator
-//! over the s-t output, so the *fact set* determines the render and
-//! deletions can use classic **DRed** (delete/re-derive): over-delete
-//! every fact whose recorded derivation transitively touches a removed
-//! base fact, re-derive the survivors from the remaining facts, then
-//! run the ordinary semi-naive continuation seeded with the re-inserted
-//! and newly added facts. Support edges (one recorded derivation per
-//! derived fact) are collected during eligible runs by
+//! over the s-t output, so the *fact set* determines the render, and
+//! that fixpoint commutes with injective renamings of nulls. The
+//! previous solution is renamed through ρ in one pass
+//! ([`Instance::rename_nulls`]), so **DRed** (delete/re-derive) sees
+//! only the real change: over-delete every fact whose recorded
+//! derivation transitively touches a removed fact, re-derive the
+//! survivors from the remaining facts, then run the ordinary
+//! semi-naive continuation seeded with the re-inserted and newly added
+//! facts. Support edges (one recorded derivation per derived fact, plus
+//! the reverse index) name facts by tuple id, which the rename keeps;
+//! they are collected during eligible runs by
 //! `crate::target::run_rounds`. Settings with existential target tgds
 //! or egds fall back to re-running the target stage from the replayed
 //! s-t output — still byte-identical, still skipping nothing observable.
@@ -46,8 +57,8 @@
 
 use crate::error::{ChaseError, ChasePartial};
 use crate::standard::{
-    absorb_match_counters, body_fact_keys, compile, enumeration_hint, fire, fire_collect,
-    head_satisfied, run_st, ChaseOptions, ChaseOutcome, CompiledTgd, FactKey, StTriggerLog,
+    absorb_match_counters, body_fact_keys, commit_st, compile, enumeration_hint, fire_collect,
+    run_st, ChaseOptions, ChaseOutcome, CompiledTgd, FactKey, StTrigger, StTriggerLog,
 };
 use crate::target::{
     derive_step_budget, run_rounds, ExchangeSetting, RoundsCfg, RoundsEnd, TargetChaseResult,
@@ -55,19 +66,39 @@ use crate::target::{
 };
 use qi_exec::{par_map_budgeted_hinted, ExecConfig, ExecStats};
 use qi_schema::{
-    planning_enabled_for, Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, PatTerm,
-    RelId, Schema, Value,
+    planning_enabled_for, Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, NullId,
+    PatTerm, RelId, Schema, TupleId, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// One recorded derivation per derived target fact: the body facts of
-/// the trigger that first inserted it. This is the (single-support)
-/// edge set DRed walks when base facts disappear.
+/// A fact of the solution store, addressed by relation index and
+/// [`TupleId`]. Ids survive [`Instance::rename_nulls`], so support edges
+/// stored by id never need renaming.
+type FactId = (u32, TupleId);
+
+/// The id of `key` in `solution` (it must be present).
+fn fact_id(solution: &Instance, (rel, t): &FactKey) -> FactId {
+    let id = solution
+        .store()
+        .tuple_id(*rel, t)
+        .expect("support edges join facts of the solution");
+    (*rel as u32, id)
+}
+
+/// One recorded derivation per derived target fact — the body facts of
+/// the trigger that first inserted it — plus the reverse index from a
+/// body fact to the facts recorded over it. This is the
+/// (single-support) edge set DRed walks when base facts disappear; both
+/// directions are kept in step on every record and forget, so a delta
+/// never rebuilds the index. Facts are ids of the solution store the
+/// log belongs to.
 #[derive(Clone, Debug, Default)]
 pub struct SupportLog {
     /// derived fact → body facts of its recorded deriving trigger.
-    pub(crate) derived: BTreeMap<FactKey, Vec<FactKey>>,
+    derived: BTreeMap<FactId, Vec<FactId>>,
+    /// body fact → derived facts whose recorded derivation uses it.
+    dependents: BTreeMap<FactId, Vec<FactId>>,
 }
 
 impl SupportLog {
@@ -79,6 +110,142 @@ impl SupportLog {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.derived.is_empty()
+    }
+
+    /// Record `body` as the derivation of `fact`, both facts of
+    /// `solution`, replacing any earlier record.
+    pub(crate) fn record(&mut self, solution: &Instance, fact: &FactKey, body: &[FactKey]) {
+        let fact = fact_id(solution, fact);
+        let body: Vec<FactId> = body.iter().map(|b| fact_id(solution, b)).collect();
+        self.forget(fact);
+        for &b in &body {
+            self.dependents.entry(b).or_default().push(fact);
+        }
+        self.derived.insert(fact, body);
+    }
+
+    /// Drop the record of `fact` (and its entries in the reverse index).
+    fn forget(&mut self, fact: FactId) {
+        let Some(body) = self.derived.remove(&fact) else {
+            return;
+        };
+        for b in body {
+            if let Some(ds) = self.dependents.get_mut(&b) {
+                ds.retain(|&d| d != fact);
+                if ds.is_empty() {
+                    self.dependents.remove(&b);
+                }
+            }
+        }
+    }
+
+    /// The derived facts whose recorded derivation uses `body_fact`.
+    fn dependents(&self, body_fact: FactId) -> &[FactId] {
+        self.dependents.get(&body_fact).map_or(&[], Vec::as_slice)
+    }
+
+    /// The log restricted to the facts `live` keeps, in one pass over
+    /// both maps. Records of dropped facts vanish with them. A kept fact
+    /// whose recorded body lost a fact keeps the rest of its body and is
+    /// returned as an over-deletion seed: its only recorded derivation
+    /// is gone.
+    fn restricted(&self, live: impl Fn(FactId) -> bool) -> (SupportLog, Vec<FactId>) {
+        let mut seeds = Vec::new();
+        let derived = self
+            .derived
+            .iter()
+            .filter(|(&d, _)| live(d))
+            .map(|(&d, body)| {
+                let kept: Vec<FactId> = body.iter().copied().filter(|&b| live(b)).collect();
+                if kept.len() < body.len() {
+                    seeds.push(d);
+                }
+                (d, kept)
+            })
+            .collect();
+        let dependents = self
+            .dependents
+            .iter()
+            .filter(|(&b, _)| live(b))
+            .filter_map(|(&b, ds)| {
+                let ds: Vec<FactId> = ds.iter().copied().filter(|&d| live(d)).collect();
+                (!ds.is_empty()).then_some((b, ds))
+            })
+            .collect();
+        (
+            SupportLog {
+                derived,
+                dependents,
+            },
+            seeds,
+        )
+    }
+}
+
+/// The null renaming ρ from a previous run's namespace into a replayed
+/// one. A null of the previous source maps to itself while the new
+/// source still holds it. A null minted by an s-t trigger that fires in
+/// both runs maps to the null the same trigger mints in the new run.
+/// Every other null is *dead*: the facts mentioning it are gone.
+///
+/// Surviving triggers keep their relative order in the merged trigger
+/// stream and mint their nulls in that order, and source nulls stay
+/// below every minted null, so ρ is strictly increasing on the nulls it
+/// maps. That is what lets [`Instance::rename_nulls`] rename a store
+/// without re-sorting it.
+struct NullRenaming {
+    /// Nulls below this id came from the previous source.
+    old_floor: u64,
+    /// The nulls of the new source (previous-source nulls survive iff
+    /// they are here).
+    source_nulls: Arc<BTreeSet<NullId>>,
+    /// `minted[n - old_floor]`: the new id of the previously minted
+    /// null `n`, when its trigger fires again.
+    minted: Vec<Option<u64>>,
+}
+
+impl NullRenaming {
+    /// ρ after a replay: `merged` is the new run's committed trigger
+    /// stream and `old_minted` the null each of its triggers minted in
+    /// the previous run (`None` for fresh triggers and skipped ones).
+    fn new(
+        prev: &ChaseResult,
+        source: &Instance,
+        compiled: &[CompiledTgd],
+        merged: &StTriggerLog,
+        old_minted: &[Vec<Option<u64>>],
+    ) -> Self {
+        let old_floor = prev.source.fresh_null_floor();
+        let span = prev.base.fresh_null_floor().saturating_sub(old_floor);
+        let mut minted = vec![None; span as usize];
+        for ((c, triggers), olds) in compiled.iter().zip(merged).zip(old_minted) {
+            let existentials = (c.head.nvars - c.n_body_vars) as u64;
+            for (t, old) in triggers.iter().zip(olds) {
+                if let (Some(o), Some(n)) = (*old, t.minted) {
+                    for i in 0..existentials {
+                        if let Some(slot) = minted.get_mut((o - old_floor + i) as usize) {
+                            *slot = Some(n + i);
+                        }
+                    }
+                }
+            }
+        }
+        NullRenaming {
+            old_floor,
+            source_nulls: source.nulls(),
+            minted,
+        }
+    }
+
+    fn null(&self, n: NullId) -> Option<NullId> {
+        if n.0 < self.old_floor {
+            return self.source_nulls.contains(&n).then_some(n);
+        }
+        self.minted
+            .get((n.0 - self.old_floor) as usize)
+            .copied()
+            .flatten()
+            .map(NullId)
     }
 }
 
@@ -113,7 +280,8 @@ impl Default for DeltaChaseOptions {
 /// The memo a producing run leaves behind for [`chase_delta`].
 #[derive(Clone, Debug, Default)]
 struct Memo {
-    /// Per-tgd s-t trigger enumerations, in enumeration order.
+    /// Per-tgd s-t trigger enumerations, in enumeration order, with the
+    /// first null each trigger minted (the input of the null renaming).
     st_log: StTriggerLog,
     /// Target-stage support edges (Datalog-eligible settings only).
     supports: SupportLog,
@@ -264,8 +432,8 @@ pub fn chase_delta(
     let setting = &prev.setting;
     let target_schema = prev.base.schema().clone();
 
-    let memo = match (&prev.memo, prev.solution()) {
-        (Some(m), Some(_)) => m,
+    let (memo, prev_solution) = match (&prev.memo, prev.solution()) {
+        (Some(m), Some(u)) => (m, u),
         // Nothing to replay: a memo-less or failed previous run gives
         // the delta no sound starting point.
         _ => {
@@ -286,7 +454,6 @@ pub fn chase_delta(
     let st_compiled: Vec<CompiledTgd> = setting.st_tgds.iter().map(compile).collect();
     let planned = planning_enabled_for(opts.exec.planning);
     let budget = &opts.exec.budget;
-    let limited = !budget.is_unlimited();
 
     // Enumerate only the *new* triggers: one delta-restricted task per
     // (tgd, body atom); the per-round delta of `source` holds exactly
@@ -338,62 +505,51 @@ pub fn chase_delta(
     // key. Old triggers arrive in enumeration order (= key order), and
     // fresh triggers cannot collide with survivors (each uses at least
     // one genuinely new fact), so this merge *is* the from-scratch
-    // enumeration of the updated source.
+    // enumeration of the updated source. Survivors carry the null they
+    // minted in the previous run until the commit overwrites it.
     let mut merged_log: StTriggerLog = Vec::with_capacity(st_compiled.len());
     for (ti, c) in st_compiled.iter().enumerate() {
         let old = &memo.st_log[ti];
-        let mut out: Vec<Vec<Value>> = Vec::with_capacity(old.len() + fresh[ti].len());
-        let mut new_iter = fresh[ti].iter().peekable();
-        for body_vals in old {
-            let key = body_fact_keys(c, body_vals);
+        let mut out: Vec<StTrigger> = Vec::with_capacity(old.len() + fresh[ti].len());
+        let mut new_iter = std::mem::take(&mut fresh[ti]).into_iter().peekable();
+        let new_trigger = |(_, body_vals)| StTrigger {
+            body_vals,
+            minted: None,
+        };
+        for t in old {
+            let key = body_fact_keys(c, &t.body_vals);
             if key.iter().any(|k| removed_keys.contains(k)) {
                 continue; // trigger lost a body fact
             }
             while let Some((nk, _)) = new_iter.peek() {
-                if **nk < key {
-                    out.push(new_iter.next().unwrap().1.clone());
+                if *nk < key {
+                    out.push(new_trigger(new_iter.next().unwrap()));
                 } else {
                     break;
                 }
             }
-            out.push(body_vals.clone());
+            out.push(t.clone());
         }
-        out.extend(new_iter.map(|(_, bv)| bv.clone()));
+        out.extend(new_iter.map(new_trigger));
         merged_log.push(out);
     }
+    let old_minted: Vec<Vec<Option<u64>>> = merged_log
+        .iter()
+        .map(|ts| ts.iter().map(|t| t.minted).collect())
+        .collect();
 
-    // Redo the commits: same sequential loop as the from-scratch s-t
-    // chase, over the merged stream.
-    let mut base_new = Instance::new(target_schema.clone());
-    let mut next_null = source.fresh_null_floor();
-    let mut triggers = 0usize;
-    let mut fired = 0usize;
-    for (c, matches) in st_compiled.iter().zip(&merged_log) {
-        for body_vals in matches {
-            if limited {
-                if let Err(e) = budget.check() {
-                    exec.triggers_enumerated += triggers as u64;
-                    exec.triggers_fired += fired as u64;
-                    return Err(ChaseError::resource(
-                        e,
-                        exec,
-                        ChasePartial::Instance(base_new),
-                    ));
-                }
-            }
-            triggers += 1;
-            if head_satisfied(c, body_vals, &base_new, &mut exec, planned) {
-                continue;
-            }
-            let before = base_new.fact_count();
-            fire(c, body_vals, &mut base_new, &mut next_null);
-            budget.charge_facts((base_new.fact_count() - before) as u64);
-            fired += 1;
-        }
-    }
-    exec.rounds += 1;
-    exec.triggers_enumerated += triggers as u64;
-    exec.triggers_fired += fired as u64;
+    // Redo the commits: the from-scratch s-t commit loop, over the
+    // merged stream.
+    let (base_new, _) = commit_st(
+        &st_compiled,
+        &mut merged_log,
+        &target_schema,
+        source.fresh_null_floor(),
+        true,
+        planned,
+        budget,
+        &mut exec,
+    )?;
 
     // ---- target stage ----
     let compiled: Vec<CompiledTgd> = setting.target_tgds.iter().map(compile).collect();
@@ -414,34 +570,50 @@ pub fn chase_delta(
         naive: false,
         step_budget,
     };
-    let base_diff = Diff::between(&prev.base, &base_new);
 
     let (outcome, supports) = if eligible && opts.record {
-        let mut supports = memo.supports.clone();
-        let prev_solution = prev.solution().expect("memo implies solution").clone();
-        let mut working = prev_solution;
-        let mut deleted = dred_over_delete(
-            &mut working,
-            &mut supports,
-            base_diff.removed.iter().map(fact_key),
-            &mut exec,
-        );
-        // Re-inserted and newly added base facts all join the store
-        // delta that seeds the semi-naive continuation.
+        // Rename the previous solution into the new run's null
+        // namespace; tuple ids survive, so the support log only drops
+        // the dead ones. From here on DRed sees only the real change.
+        let rho = NullRenaming::new(prev, &source, &st_compiled, &merged_log, &old_minted);
+        let mut working = prev_solution.rename_nulls(|n| rho.null(n));
+        exec.facts_deleted += (prev_solution.fact_count() - working.fact_count()) as u64;
+        let live = |(rel, id): FactId| working.store().live_tuple(rel as usize, id).is_some();
+        let (mut supports, mut seeds) = memo.supports.restricted(live);
+        // Base facts that survive the renaming but not the update.
+        for rel in prev.base.schema().rel_ids() {
+            for t in prev.base.tuples(rel) {
+                let id = prev_solution
+                    .store()
+                    .tuple_id(rel.index(), t)
+                    .expect("the s-t output is part of the solution");
+                if let Some(renamed) = working.store().live_tuple(rel.index(), id) {
+                    if !base_new.contains(rel, renamed) {
+                        seeds.push((rel.index() as u32, id));
+                    }
+                }
+            }
+        }
+        let mut deleted = dred_over_delete(&mut working, &mut supports, seeds, &mut exec);
+        // Re-derived facts and new base facts all join the store delta
+        // that seeds the semi-naive continuation.
         working.begin_round();
-        let base_new_keys: BTreeSet<FactKey> = base_new.facts().map(|f| fact_key(&f)).collect();
         dred_rederive(
             &cfg,
             &mut working,
             &mut supports,
             &mut deleted,
-            &base_new_keys,
+            &base_new,
             &mut exec,
         )?;
-        for f in &base_diff.added {
-            working
-                .insert_fact(f.clone())
-                .map_err(|e| ChaseError::SchemaMismatch(e.to_string()))?;
+        for rel in base_new.schema().rel_ids() {
+            for t in base_new.tuples(rel) {
+                if !working.contains(rel, t) {
+                    working
+                        .insert(rel, t.clone())
+                        .map_err(|e| ChaseError::SchemaMismatch(e.to_string()))?;
+                }
+            }
         }
         let end = run_rounds(
             &cfg,
@@ -498,41 +670,35 @@ pub fn chase_delta(
 }
 
 /// DRed phase 1: transitively delete every fact whose recorded
-/// derivation touches a removed base fact (starting from the removed
-/// base facts themselves). Returns the set of deleted keys; the support
-/// log forgets them (survivors re-record on re-derivation).
+/// derivation touches a removed fact (starting from the `seeds`).
+/// Returns the deleted facts; the support log forgets them (survivors
+/// re-record on re-derivation).
 fn dred_over_delete(
     working: &mut Instance,
     supports: &mut SupportLog,
-    removed_base: impl Iterator<Item = FactKey>,
+    seeds: Vec<FactId>,
     exec: &mut ExecStats,
 ) -> BTreeSet<FactKey> {
-    // Reverse index: body fact → derived facts recorded over it.
-    let mut dependents: BTreeMap<&FactKey, Vec<&FactKey>> = BTreeMap::new();
-    for (derived, body) in &supports.derived {
-        for b in body {
-            dependents.entry(b).or_default().push(derived);
-        }
-    }
+    let mut done: BTreeSet<FactId> = BTreeSet::new();
     let mut deleted: BTreeSet<FactKey> = BTreeSet::new();
-    let mut work: BTreeSet<FactKey> = removed_base.collect();
-    while let Some(k) = work.pop_first() {
-        if !deleted.insert(k.clone()) {
-            continue;
-        }
-        if working.remove_fact(&key_fact(&k)) {
-            exec.facts_deleted += 1;
-        }
-        if let Some(ds) = dependents.get(&k) {
-            for d in ds {
-                if !deleted.contains(*d) {
-                    work.insert((*d).clone());
-                }
+    let mut work: BTreeSet<FactId> = seeds.into_iter().collect();
+    while let Some(f) = work.pop_first() {
+        for &d in supports.dependents(f) {
+            if !done.contains(&d) {
+                work.insert(d);
             }
         }
+        done.insert(f);
+        let rel = f.0 as usize;
+        if let Some(t) = working.store().live_tuple(rel, f.1) {
+            let key = (rel, t.clone());
+            working.remove_fact(&key_fact(&key));
+            exec.facts_deleted += 1;
+            deleted.insert(key);
+        }
     }
-    for k in &deleted {
-        supports.derived.remove(k);
+    for f in done {
+        supports.forget(f);
     }
     deleted
 }
@@ -548,7 +714,7 @@ fn dred_rederive(
     working: &mut Instance,
     supports: &mut SupportLog,
     deleted: &mut BTreeSet<FactKey>,
-    base_new_keys: &BTreeSet<FactKey>,
+    base_new: &Instance,
     exec: &mut ExecStats,
 ) -> Result<(), ChaseError> {
     // head_index: relation → (tgd, head atom) pairs that can produce it.
@@ -575,7 +741,7 @@ fn dred_rederive(
                 restored.push(k.clone());
                 continue;
             }
-            if base_new_keys.contains(k) {
+            if base_new.contains(RelId(k.0 as u32), &k.1) {
                 // Derived before, a base fact now: unconditionally in.
                 working
                     .insert(RelId(k.0 as u32), k.1.clone())
@@ -620,13 +786,13 @@ fn dred_rederive(
                 if let Some(a) = witness {
                     let body_vals: Vec<Value> =
                         (0..c.n_body_vars as u32).map(|i| a.value(i)).collect();
+                    let mut new_facts = Vec::new();
+                    fire_collect(c, &body_vals, working, &mut 0, |fact| new_facts.push(fact));
                     let body = body_fact_keys(c, &body_vals);
-                    let mut n = 0u64;
-                    fire_collect(c, &body_vals, working, &mut 0, |fact| {
-                        supports.derived.insert(fact, body.clone());
-                        n += 1;
-                    });
-                    exec.facts_rederived += n;
+                    for fact in &new_facts {
+                        supports.record(working, fact, &body);
+                    }
+                    exec.facts_rederived += new_facts.len() as u64;
                     if working.contains_fact(&key_fact(k)) {
                         restored.push(k.clone());
                         break 'producers;
@@ -752,6 +918,60 @@ mod tests {
             diff.apply(&mut updated).unwrap();
             let scratch = chase_incremental(&setting, &updated, &t, &opts).unwrap();
             assert_eq!(render(&next), render(&scratch), "diff `{text}`");
+        }
+    }
+
+    #[test]
+    fn mid_stream_diff_deletes_on_the_order_of_the_diff() {
+        // The keyless exchange shape: every Emp trigger mints a null, so
+        // a diff in the middle of the trigger order shifts every later
+        // null by one. The null renaming absorbs the shift: DRed sees
+        // only the facts that really changed.
+        let s = Schema::parse("Emp/3 Mgr/2").unwrap();
+        let t = Schema::parse("Works/2 Dept/2 Boss/2 Reach/2").unwrap();
+        let setting = ExchangeSetting {
+            st_tgds: vec![
+                parse_tgd(&s, &t, "Emp(n,d,c) -> exists m . Works(n,d) & Dept(d,m)").unwrap(),
+                parse_tgd(&s, &t, "Mgr(a,b) -> Boss(a,b)").unwrap(),
+            ],
+            target_tgds: vec![
+                parse_tgd(&t, &t, "Works(n,d) & Dept(d,m) -> Boss(n,m)").unwrap(),
+                parse_tgd(&t, &t, "Boss(x,y) & Boss(y,z) -> Reach(x,z)").unwrap(),
+            ],
+            egds: vec![],
+        };
+        // Constants are interned (and so ordered) in loop order.
+        let facts: Vec<String> = (0..40)
+            .flat_map(|i| {
+                [
+                    format!("Emp(mx{i},md{i},mc)"),
+                    format!("Mgr(mx{i},mx{})", i + 1),
+                ]
+            })
+            .collect();
+        let source = Instance::parse(&s, &facts.join(" ")).unwrap();
+        let opts = DeltaChaseOptions::default();
+        let prev = chase_incremental(&setting, &source, &t, &opts).unwrap();
+        let size = prev.solution().unwrap().fact_count();
+        assert!(size > 200, "solution of {size} facts");
+        for (text, max_deleted) in [
+            ("- Emp(mx20,md20,mc)", 4),
+            ("+ Emp(mx20,md20b,mc)", 0),
+            ("- Emp(mx20,md20,mc)\n+ Emp(mx20,md20b,mc)", 4),
+        ] {
+            let diff = Diff::parse(&s, text).unwrap();
+            let next = chase_delta(&prev, &diff, &opts).unwrap();
+            let mut updated = source.clone();
+            diff.apply(&mut updated).unwrap();
+            let scratch = chase_incremental(&setting, &updated, &t, &opts).unwrap();
+            assert_eq!(render(&next), render(&scratch), "diff `{text}`");
+            let exec = &next.stats.exec;
+            assert!(
+                exec.facts_deleted <= max_deleted,
+                "diff `{text}`: {} of {size} facts deleted",
+                exec.facts_deleted
+            );
+            assert_eq!(exec.facts_rederived, 0, "diff `{text}`");
         }
     }
 

@@ -24,7 +24,7 @@
 //! null already present.
 
 use crate::error::{ChaseError, ChasePartial};
-use qi_exec::{par_map_budgeted_hinted, CostHint, ExecConfig, ExecStats};
+use qi_exec::{par_map_budgeted_hinted, Budget, CostHint, ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, Tgd, Var};
 use qi_schema::{
     plan_pattern, planning_enabled_for, Instance, MatchConstraints, MatchCounters, MatchEngine,
@@ -287,10 +287,21 @@ pub(crate) fn fire(
     }
 }
 
-/// Per-tgd enumerated triggers (`body_vals` each), in the engine's
-/// deterministic enumeration order — the s-t memo an incremental
-/// re-chase replays instead of re-enumerating old triggers.
-pub(crate) type StTriggerLog = Vec<Vec<Vec<Value>>>;
+/// One logged s-t trigger: its body-variable values and the first
+/// fresh null its firing minted (`None` when the restricted check
+/// skipped it or its tgd has no existential variables). A firing mints
+/// its tgd's existential nulls consecutively, so the first one names
+/// them all.
+#[derive(Clone, Debug)]
+pub(crate) struct StTrigger {
+    pub(crate) body_vals: Vec<Value>,
+    pub(crate) minted: Option<u64>,
+}
+
+/// Per-tgd enumerated triggers in the engine's deterministic
+/// enumeration order — the s-t memo an incremental re-chase replays
+/// instead of re-enumerating old triggers.
+pub(crate) type StTriggerLog = Vec<Vec<StTrigger>>;
 
 fn run(
     tgds: &[Tgd],
@@ -304,9 +315,9 @@ fn run(
 
 /// [`run`] with an optional trigger-log sink: when `log` is set, the
 /// full per-tgd enumeration (pre-satisfaction-check, in enumeration
-/// order) is recorded into it, so a later `chase_delta` can merge new
-/// delta-restricted triggers into the same order without re-running the
-/// old joins.
+/// order, with each trigger's minted null) is recorded into it, so a
+/// later `chase_delta` can merge new delta-restricted triggers into the
+/// same order without re-running the old joins.
 pub(crate) fn run_st(
     tgds: &[Tgd],
     source: &Instance,
@@ -316,10 +327,6 @@ pub(crate) fn run_st(
     log: Option<&mut StTriggerLog>,
 ) -> Result<ChaseOutcome, ChaseError> {
     check_schemas(tgds, source, target_schema)?;
-    let mut target = Instance::new(target_schema.clone());
-    let mut next_null = source.fresh_null_floor();
-    let mut fired = 0usize;
-    let mut triggers = 0usize;
     let compiled: Vec<CompiledTgd> = tgds.iter().map(compile).collect();
     // Parallel enumerate: the source is an immutable snapshot, so the
     // per-tgd trigger sets are independent pure computations. Results
@@ -331,60 +338,102 @@ pub(crate) fn run_st(
     let planned = planning_enabled_for(options.exec.planning);
     let budget = &options.exec.budget;
     let hint = enumeration_hint(&compiled, source, planned);
-    let (all_matches, stats) =
+    let (all_matches, mut stats) =
         par_map_budgeted_hinted(options.exec.parallelism, &compiled, budget, hint, |c| {
             let engine = MatchEngine::new(&c.body, source, &constraints).with_planning(planned);
-            let matches: Vec<Vec<Value>> = engine
+            let matches: Vec<StTrigger> = engine
                 .all()
                 .iter()
-                .map(|a| (0..c.n_body_vars as u32).map(|i| a.value(i)).collect())
+                .map(|a| StTrigger {
+                    body_vals: (0..c.n_body_vars as u32).map(|i| a.value(i)).collect(),
+                    minted: None,
+                })
                 .collect();
             (matches, engine.counters())
         })
         .map_err(|e| ChaseError::resource(e, ExecStats::default(), ChasePartial::None))?;
-    let mut stats = stats;
-    if let Some(log) = log {
-        *log = all_matches.iter().map(|(m, _)| m.clone()).collect();
+    let mut triggers: StTriggerLog = Vec::with_capacity(all_matches.len());
+    for (matches, counters) in all_matches {
+        absorb_match_counters(&mut stats, &counters);
+        triggers.push(matches);
     }
-    // Ordered commit: the restricted chase's satisfaction check depends
-    // on the evolving target, so firing stays sequential, in the same
-    // (tgd, trigger) order as the sequential chase. The budget is
-    // re-checked between trigger firings; on exhaustion the target so
-    // far — a sound prefix of the full run — rides out on the error.
+    let (target, fired) = commit_st(
+        &compiled,
+        &mut triggers,
+        target_schema,
+        source.fresh_null_floor(),
+        restricted,
+        planned,
+        budget,
+        &mut stats,
+    )?;
+    let n_triggers = triggers.iter().map(Vec::len).sum();
+    if let Some(log) = log {
+        *log = triggers;
+    }
+    Ok(ChaseOutcome {
+        instance: target,
+        fired,
+        triggers: n_triggers,
+        stats,
+    })
+}
+
+/// The ordered commit of an s-t chase over a per-tgd trigger stream:
+/// the restricted chase's satisfaction check depends on the evolving
+/// target, so firing stays sequential, in (tgd, trigger) order, minting
+/// fresh nulls from `next_null` on. Each trigger's `minted` is set to
+/// the first null its firing minted. The budget is re-checked between
+/// trigger firings; on exhaustion the target so far — a sound prefix
+/// of the full run — rides out on the error. Returns the target and the
+/// number of triggers that fired.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn commit_st(
+    compiled: &[CompiledTgd],
+    triggers: &mut StTriggerLog,
+    target_schema: &Schema,
+    mut next_null: u64,
+    restricted: bool,
+    planned: bool,
+    budget: &Budget,
+    stats: &mut ExecStats,
+) -> Result<(Instance, usize), ChaseError> {
+    let mut target = Instance::new(target_schema.clone());
     let limited = !budget.is_unlimited();
-    for (c, (matches, counters)) in compiled.iter().zip(&all_matches) {
-        absorb_match_counters(&mut stats, counters);
-        for body_vals in matches {
+    let mut enumerated = 0u64;
+    let mut fired = 0u64;
+    for (c, matches) in compiled.iter().zip(triggers.iter_mut()) {
+        let existential = c.head.nvars > c.n_body_vars;
+        for t in matches {
             if limited {
                 if let Err(e) = budget.check() {
-                    stats.triggers_enumerated += triggers as u64;
-                    stats.triggers_fired += fired as u64;
+                    stats.triggers_enumerated += enumerated;
+                    stats.triggers_fired += fired;
                     return Err(ChaseError::resource(
                         e,
-                        stats,
+                        stats.clone(),
                         ChasePartial::Instance(target),
                     ));
                 }
             }
-            triggers += 1;
-            if restricted && head_satisfied(c, body_vals, &target, &mut stats, planned) {
+            enumerated += 1;
+            t.minted = None;
+            if restricted && head_satisfied(c, &t.body_vals, &target, stats, planned) {
                 continue;
             }
             let before = target.fact_count();
-            fire(c, body_vals, &mut target, &mut next_null);
+            if existential {
+                t.minted = Some(next_null);
+            }
+            fire(c, &t.body_vals, &mut target, &mut next_null);
             budget.charge_facts((target.fact_count() - before) as u64);
             fired += 1;
         }
     }
     stats.rounds += 1;
-    stats.triggers_enumerated += triggers as u64;
-    stats.triggers_fired += fired as u64;
-    Ok(ChaseOutcome {
-        instance: target,
-        fired,
-        triggers,
-        stats,
-    })
+    stats.triggers_enumerated += enumerated;
+    stats.triggers_fired += fired;
+    Ok((target, fired as usize))
 }
 
 /// The standard (restricted) chase: `chase_Σ(I)`.

@@ -482,10 +482,12 @@ pub(crate) fn run_rounds(
             let before = current.fact_count();
             match supports.as_deref_mut() {
                 Some(log) => {
+                    let mut new_facts = Vec::new();
+                    fire_collect(c, body_vals, &mut current, next_null, |f| new_facts.push(f));
                     let body = body_fact_keys(c, body_vals);
-                    fire_collect(c, body_vals, &mut current, next_null, |fact| {
-                        log.derived.insert(fact, body.clone());
-                    });
+                    for fact in &new_facts {
+                        log.record(&current, fact, &body);
+                    }
                 }
                 None => fire(c, body_vals, &mut current, next_null),
             }

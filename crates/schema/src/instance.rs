@@ -240,6 +240,17 @@ impl Instance {
         })
     }
 
+    /// Rename nulls through `rho`, dropping every fact that mentions a
+    /// null `rho` leaves unmapped. `rho` must be strictly increasing on
+    /// the nulls it maps; then the renamed store is built in one pass
+    /// without re-sorting (see [`FactStore::rename_nulls`]).
+    pub fn rename_nulls(&self, rho: impl Fn(NullId) -> Option<NullId>) -> Instance {
+        Instance {
+            schema: self.schema.clone(),
+            store: self.store.rename_nulls(rho),
+        }
+    }
+
     /// Parse an instance literal (see module docs for the format).
     pub fn parse(schema: &Schema, text: &str) -> Result<Instance, SchemaError> {
         let mut inst = Instance::new(schema.clone());

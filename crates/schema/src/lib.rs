@@ -60,5 +60,5 @@ pub use plan::{
     StaticCosts,
 };
 pub use schema::{RelId, RelSym, Schema};
-pub use store::{Change, ChangeEntry, FactStore, TupleId};
+pub use store::{FactStore, TupleId};
 pub use value::{ConstId, NullId, Value};

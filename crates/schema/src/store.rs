@@ -33,34 +33,6 @@ use std::sync::{Arc, Mutex};
 /// inserts; never reused within a store's lifetime).
 pub type TupleId = u32;
 
-/// One recorded store mutation (see [`FactStore::changes_since`]).
-///
-/// Inserts are recorded by [`TupleId`] — the arena slot stays live, so
-/// the tuple can be recovered via [`FactStore::tuple`]. Removals must
-/// carry the tuple itself: removal frees the arena slot, and the
-/// whole point of the changelog is that a consumer who looks *later*
-/// can still see what vanished.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Change {
-    /// A tuple was inserted (id into the owning relation's arena).
-    Inserted(TupleId),
-    /// A tuple was removed (the tuple itself; its id is dead).
-    Removed(Vec<Value>),
-}
-
-/// One entry of the persistent changelog: which relation changed, how,
-/// and at which generation (the value [`FactStore::generation`]
-/// returned *after* the mutation ticked it).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChangeEntry {
-    /// Generation after the mutation (entries are strictly increasing).
-    pub generation: u64,
-    /// Index of the relation that changed.
-    pub rel: usize,
-    /// What changed.
-    pub change: Change,
-}
-
 /// Number of counter slots per position bloom filter (1 KiB of `u16`s).
 const BLOOM_SLOTS: usize = 512;
 
@@ -223,7 +195,6 @@ type Cached<T> = Mutex<Option<(u64, Arc<T>)>>;
 pub struct FactStore {
     rels: Vec<RelStore>,
     generation: u64,
-    changelog: Vec<ChangeEntry>,
     adom_cache: Cached<BTreeSet<Value>>,
     nulls_cache: Cached<BTreeSet<NullId>>,
     fp_cache: Cached<String>,
@@ -234,7 +205,6 @@ impl Clone for FactStore {
         FactStore {
             rels: self.rels.clone(),
             generation: self.generation,
-            changelog: self.changelog.clone(),
             adom_cache: Mutex::new(self.adom_cache.lock().expect("cache lock").clone()),
             nulls_cache: Mutex::new(self.nulls_cache.lock().expect("cache lock").clone()),
             fp_cache: Mutex::new(self.fp_cache.lock().expect("cache lock").clone()),
@@ -261,7 +231,6 @@ impl FactStore {
         FactStore {
             rels: arities.iter().map(|&a| RelStore::new(a)).collect(),
             generation: 0,
-            changelog: Vec::new(),
             adom_cache: Mutex::new(None),
             nulls_cache: Mutex::new(None),
             fp_cache: Mutex::new(None),
@@ -281,34 +250,20 @@ impl FactStore {
         let added = self.rels[rel].insert(tuple);
         if added {
             self.generation += 1;
-            // The id of a fresh insert is the last arena slot.
-            let id = (self.rels[rel].arena.len() - 1) as TupleId;
-            self.changelog.push(ChangeEntry {
-                generation: self.generation,
-                rel,
-                change: Change::Inserted(id),
-            });
         }
         added
     }
 
     /// Remove `tuple` from relation `rel`; returns whether it was present.
     ///
-    /// A successful removal bumps the generation *and* appends a
-    /// [`Change::Removed`] changelog entry. (It is deliberately absent
-    /// from the per-round `delta` — the delta means "inserted since
+    /// A successful removal bumps the generation. A removed tuple also
+    /// leaves the per-round delta, which means "inserted since
     /// `begin_round`" and feeds semi-naive *trigger enumeration*, where
-    /// a removed tuple can never be part of a new match. The changelog
-    /// is where delta consumers across chases see removals.)
+    /// a removed tuple can never be part of a new match.
     pub fn remove(&mut self, rel: usize, tuple: &[Value]) -> bool {
         let removed = self.rels[rel].remove(tuple);
         if removed {
             self.generation += 1;
-            self.changelog.push(ChangeEntry {
-                generation: self.generation,
-                rel,
-                change: Change::Removed(tuple.to_vec()),
-            });
         }
         removed
     }
@@ -399,29 +354,64 @@ impl FactStore {
         self.rels.iter().map(|r| r.delta.len()).sum()
     }
 
-    /// The persistent changelog: every successful insert/remove since
-    /// the store was created (or since
-    /// [`clear_changelog`](FactStore::clear_changelog)), in mutation
-    /// order with strictly
-    /// increasing generations. Unlike the per-round delta this survives
-    /// [`begin_round`](FactStore::begin_round) — it is the record a
-    /// *cross-chase* delta consumer reads.
-    pub fn changelog(&self) -> &[ChangeEntry] {
-        &self.changelog
+    /// A copy of the store with every null renamed through `rho`, built
+    /// in one linear pass without re-sorting. Tuples that mention a null
+    /// `rho` leaves unmapped are dropped; every other tuple keeps its
+    /// [`TupleId`], so id-keyed side tables stay valid across the rename.
+    ///
+    /// `rho` must be strictly increasing on the nulls it maps. Values
+    /// order constants before nulls and nulls by id, so such a renaming
+    /// keeps the canonical tuple order: walking the old order yields the
+    /// renamed tuples in order, and every posting list is built by
+    /// appending. The copy starts a fresh round (empty delta).
+    pub fn rename_nulls(&self, rho: impl Fn(NullId) -> Option<NullId>) -> FactStore {
+        let rename = |t: &Vec<Value>| -> Option<Vec<Value>> {
+            t.iter()
+                .map(|&v| match v {
+                    Value::Null(n) => rho(n).map(Value::Null),
+                    c => Some(c),
+                })
+                .collect()
+        };
+        let rels = self
+            .rels
+            .iter()
+            .map(|r| {
+                let mut out = RelStore::new(r.postings.len());
+                out.arena = vec![None; r.arena.len()];
+                let mut sorted: Vec<(Vec<Value>, TupleId)> = Vec::with_capacity(r.sorted.len());
+                for (t, &id) in &r.sorted {
+                    let Some(t) = rename(t) else { continue };
+                    for (pos, &v) in t.iter().enumerate() {
+                        out.postings[pos].entry(v).or_default().push(id);
+                        out.blooms[pos].add(v);
+                    }
+                    out.arena[id as usize] = Some(t.clone());
+                    sorted.push((t, id));
+                }
+                debug_assert!(
+                    sorted.windows(2).all(|w| w[0].0 < w[1].0),
+                    "a null renaming must be strictly increasing"
+                );
+                out.sorted = sorted.into_iter().collect();
+                out
+            })
+            .collect();
+        FactStore {
+            rels,
+            ..FactStore::default()
+        }
     }
 
-    /// The changelog entries recorded after generation `gen` (entries
-    /// are sorted by generation, so this is a binary-search suffix).
-    pub fn changes_since(&self, gen: u64) -> &[ChangeEntry] {
-        let at = self.changelog.partition_point(|e| e.generation <= gen);
-        &self.changelog[at..]
+    /// The id of `tuple` in relation `rel`, if present.
+    pub fn tuple_id(&self, rel: usize, tuple: &[Value]) -> Option<TupleId> {
+        self.rels[rel].sorted.get(tuple).copied()
     }
 
-    /// Drop the changelog (the generation keeps its value, so caches
-    /// stay valid). Call after consuming the entries — the log is
-    /// otherwise unbounded on long-lived stores.
-    pub fn clear_changelog(&mut self) {
-        self.changelog.clear();
+    /// The tuple behind `id` in relation `rel`, or `None` when that id
+    /// was removed (or never issued).
+    pub fn live_tuple(&self, rel: usize, id: TupleId) -> Option<&Vec<Value>> {
+        self.rels[rel].arena.get(id as usize)?.as_ref()
     }
 
     /// Probe the counting bloom filter at `(rel, pos)`: `false` means
@@ -625,51 +615,51 @@ mod tests {
     }
 
     #[test]
-    fn remove_after_begin_round_is_recorded_in_changelog() {
-        // Regression: `remove` used to only retain the id out of the
-        // current round's delta, so a remove after `begin_round` left
-        // no trace at all for a cross-chase delta consumer.
-        let mut s = FactStore::new(&[1]);
-        s.insert(0, vec![v("a")]);
-        s.begin_round();
-        let gen_before = s.generation();
-        assert!(s.remove(0, &[v("a")]));
+    fn rename_nulls_keeps_order_postings_and_blooms() {
+        let n = |i| Value::null(i);
+        let mut s = FactStore::new(&[2]);
+        s.insert(0, vec![v("a"), n(5)]);
+        s.insert(0, vec![n(3), v("b")]);
+        s.insert(0, vec![n(4), n(3)]);
+        s.insert(0, vec![n(7), v("a")]);
+        // 3 → 10, 4 dropped, 5 → 11, 7 → 12: strictly increasing.
+        let r = s.rename_nulls(|id| match id.0 {
+            3 => Some(NullId(10)),
+            5 => Some(NullId(11)),
+            7 => Some(NullId(12)),
+            _ => None,
+        });
+        let tuples: Vec<&Vec<Value>> = r.tuples(0).collect();
         assert_eq!(
-            s.generation(),
-            gen_before + 1,
-            "remove must tick the generation"
+            tuples,
+            [
+                &vec![v("a"), n(11)],
+                &vec![n(10), v("b")],
+                &vec![n(12), v("a")]
+            ]
         );
-        let tail = s.changes_since(gen_before);
-        assert_eq!(
-            tail,
-            [ChangeEntry {
-                generation: gen_before + 1,
-                rel: 0,
-                change: Change::Removed(vec![v("a")]),
-            }]
-        );
-        // The per-round delta stays insert-only (semi-naive semantics).
-        assert_eq!(s.delta_len(), 0);
-    }
-
-    #[test]
-    fn changelog_orders_and_slices_by_generation() {
-        let mut s = FactStore::new(&[1]);
-        s.insert(0, vec![v("a")]);
-        let mid = s.generation();
-        s.begin_round(); // must NOT clear the changelog
-        s.insert(0, vec![v("b")]);
-        s.insert(0, vec![v("b")]); // duplicate: no entry
-        s.remove(0, &[v("a")]);
-        assert_eq!(s.changelog().len(), 3);
-        assert_eq!(s.changes_since(0).len(), 3);
-        let tail = s.changes_since(mid);
-        assert_eq!(tail.len(), 2);
-        assert!(matches!(tail[0].change, Change::Inserted(_)));
-        assert_eq!(tail[1].change, Change::Removed(vec![v("a")]));
-        assert!(tail.windows(2).all(|w| w[0].generation < w[1].generation));
-        s.clear_changelog();
-        assert!(s.changes_since(0).is_empty());
+        // Postings follow tuple order; blooms and caches see new ids.
+        let at_a: Vec<&Vec<Value>> = r
+            .posting(0, 1, v("a"))
+            .iter()
+            .map(|&id| r.tuple(0, id))
+            .collect();
+        assert_eq!(at_a, [&vec![n(12), v("a")]]);
+        assert!(r.bloom_admits(0, 0, n(10)));
+        assert!(!r.bloom_admits(0, 0, n(3)));
+        // Ids survive; the dropped tuple's id is dead.
+        let id = s.tuple_id(0, &[n(3), v("b")]).unwrap();
+        assert_eq!(r.live_tuple(0, id), Some(&vec![n(10), v("b")]));
+        assert_eq!(r.tuple_id(0, &[n(10), v("b")]), Some(id));
+        let gone = s.tuple_id(0, &[n(4), n(3)]).unwrap();
+        assert_eq!(r.live_tuple(0, gone), None);
+        assert_eq!(r.delta_len(), 0);
+        let mut fresh = FactStore::new(&[2]);
+        for t in [[v("a"), n(11)], [n(10), v("b")], [n(12), v("a")]] {
+            fresh.insert(0, t.to_vec());
+        }
+        assert_eq!(r, fresh);
+        assert_eq!(r.fingerprint(), fresh.fingerprint());
     }
 
     #[test]
