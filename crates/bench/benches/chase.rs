@@ -2,20 +2,23 @@
 //!
 //! Wall-clock of `chase_Σ(I)` as the source instance grows, for three
 //! mapping shapes (LAV decomposition, n-way union, a 3-way join premise),
-//! the restricted-vs-oblivious ablation, and the sequential-vs-parallel
-//! trigger-enumeration sweep (per-stage counters included in the JSON).
+//! the restricted-vs-oblivious ablation, the sequential-vs-parallel
+//! trigger-enumeration sweep (per-stage counters included in the JSON),
+//! and the keyed exchange with egd repair (batched vs one at a time).
 
 use qi_bench::{measure, Record, THREAD_SWEEP};
+use qi_chase::target::chase_with_target_deps_one_at_a_time;
 use qi_chase::{
     chase, chase_oblivious, chase_with_options, chase_with_target_deps_stats, ChaseOptions,
     ChaseStrategy, ExchangeSetting, TargetChaseOptions, TargetChaseResult,
 };
 use qi_exec::Parallelism;
-use qi_lang::parse_tgd;
+use qi_lang::{parse_egd, parse_tgd};
 use qi_schema::{Instance, Schema};
 use qi_workloads::families::{
     chain_join_j, decomposition_instance, decomposition_k, graph_instance, union_instance, union_n,
 };
+use qi_workloads::random::{random_ground_instance, rng, InstanceParams};
 use std::time::Duration;
 
 const MIN_TIME: Duration = Duration::from_millis(200);
@@ -302,6 +305,72 @@ fn bench_budget_overhead() {
     }
 }
 
+fn bench_keyed_exchange() {
+    // The keyed exchange of the end-to-end benchmark: an existential
+    // manager per department, keyed by an egd, so every department with
+    // k employees costs k − 1 repairs. The batched per-egd fixpoint is
+    // checked against the one-repair-at-a-time referee (same solution,
+    // same steps) and both are timed.
+    let source = Schema::parse("Emp/3 Mgr/2").unwrap();
+    let target = Schema::parse("Works/2 Dept/2 Boss/2 Reach/2").unwrap();
+    let st = |t: &str| parse_tgd(&source, &target, t).unwrap();
+    let tt = |t: &str| parse_tgd(&target, &target, t).unwrap();
+    let setting = ExchangeSetting {
+        st_tgds: vec![
+            st("Emp(n,d,c) -> exists m . Works(n,d) & Dept(d,m)"),
+            st("Mgr(a,b) -> Boss(a,b)"),
+        ],
+        target_tgds: vec![
+            tt("Works(n,d) & Dept(d,m) -> Boss(n,m)"),
+            tt("Boss(x,y) & Boss(y,z) -> Reach(x,z)"),
+        ],
+        egds: vec![parse_egd(&target, "Dept(d,m1) & Dept(d,m2) -> m1 = m2").unwrap()],
+    };
+    for n in [100usize, 400, 1600] {
+        let params = InstanceParams {
+            n_consts: n / 4,
+            n_facts: n,
+        };
+        let i = random_ground_instance(&source, &mut rng(1), &params);
+        let options = || TargetChaseOptions {
+            exec: qi_exec::ExecConfig::auto().with_parallelism(Parallelism::fixed(1)),
+            ..Default::default()
+        };
+        let (result, stats) =
+            chase_with_target_deps_stats(&setting, &i, &target, options()).unwrap();
+        let (referee, ref_stats) =
+            chase_with_target_deps_one_at_a_time(&setting, &i, &target, options()).unwrap();
+        assert_eq!(result, referee, "batched egd repair must be exact");
+        assert_eq!(stats.steps, ref_stats.steps, "and count the same steps");
+        let TargetChaseResult::Solution(u) = result else {
+            unreachable!("Dept's key only ever equates a constant with nulls")
+        };
+        // Steps are target firings plus repairs; the s-t firings are
+        // the first part of `triggers_fired`.
+        let st_fired = chase_with_options(&setting.st_tgds, &i, &target, ChaseOptions::default())
+            .unwrap()
+            .fired;
+        let repairs = stats.steps - (stats.exec.triggers_fired as usize - st_fired);
+        let s = measure(MIN_ITERS, MIN_TIME, || {
+            chase_with_target_deps_stats(&setting, &i, &target, options()).unwrap()
+        });
+        let s_ref = measure(1, MIN_TIME, || {
+            chase_with_target_deps_one_at_a_time(&setting, &i, &target, options()).unwrap()
+        });
+        Record::new("chase/keyed-exchange")
+            .int("param", n as u64)
+            .int("facts", u.fact_count() as u64)
+            .int("nulls", u.nulls().len() as u64)
+            .int("steps", stats.steps as u64)
+            .int("repairs", repairs as u64)
+            .int("rounds", stats.exec.rounds)
+            .num("one_at_a_time_mean_ns", s_ref.mean_ns())
+            .num("speedup", s_ref.mean_ns() / s.mean_ns())
+            .sample(s)
+            .emit();
+    }
+}
+
 fn main() {
     bench_decomposition();
     bench_union();
@@ -311,4 +380,5 @@ fn main() {
     bench_planned_sweep();
     bench_seminaive();
     bench_budget_overhead();
+    bench_keyed_exchange();
 }

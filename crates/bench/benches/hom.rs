@@ -1,6 +1,6 @@
 //! E19 — homomorphism engine v2: retraction cores and the hom cache.
 //!
-//! Two series backing the v2 engine's perf claims:
+//! Three of its series back the v2 engine's perf claims:
 //!
 //! * `hom/core-chase-output` — `core_of` (retraction-based fold) against
 //!   the pre-v2 greedy fact-dropping reference (`core_of_greedy`, kept
@@ -8,6 +8,9 @@
 //!   null-chain length `k`: the shape closure-style mappings produce,
 //!   where one endomorphism folds a whole chain onto its constant
 //!   anchor. The two cores are checked isomorphic at every point.
+//! * `hom/core-rigid` — `core_of` on instances of many small rigid null
+//!   blocks (nothing folds), where every null's endomorphism search is
+//!   refuted on its own block.
 //! * `hom/quasi-inverse-cache` — the full QuasiInverse pipeline (MinGen
 //!   coverage + Step-3 subsumption + disjunct minimization) with the
 //!   shared [`HomCache`] on vs off, emitting the hit/miss counters; the
@@ -188,8 +191,46 @@ fn bench_equivalence_classes() {
     }
 }
 
+/// `blocks` copies of a rigid two-null gadget, each anchored on its own
+/// constants: `E(aᵢ,N) E(N,N') E(N',bᵢ) P(N,N')`. Nothing folds, so
+/// every null's endomorphism search must fail.
+fn rigid_gadgets(blocks: usize) -> Instance {
+    let schema = qi_schema::Schema::parse("E/2 P/2").expect("valid schema");
+    let mut text = String::new();
+    for b in 0..blocks {
+        let (n1, n2) = (2 * b, 2 * b + 1);
+        text.push_str(&format!(
+            " E(a{b},N{n1}) E(N{n1},N{n2}) E(N{n2},b{b}) P(N{n1},N{n2})"
+        ));
+    }
+    Instance::parse(&schema, &text).expect("valid instance")
+}
+
+fn bench_core_rigid() {
+    // The shape of a keyed exchange's solution: many small null blocks,
+    // none of which folds. Each null's refutation searches its own block
+    // only, so the round costs O(#nulls · block), not O(#nulls · |J|).
+    for blocks in [16usize, 64, 256] {
+        let u = rigid_gadgets(blocks);
+        let (core, stats) = core_of_with_stats(&u);
+        assert_eq!(core, u, "a rigid instance is its own core");
+        assert_eq!(stats.nulls_folded, 0);
+        let s = measure(MIN_ITERS, MIN_TIME, || core_of_with_stats(&u));
+        Record::new("hom/core-rigid")
+            .int("param", blocks as u64)
+            .int("facts", u.fact_count() as u64)
+            .int("nulls", u.nulls().len() as u64)
+            .int("endos_tried", stats.endos_tried)
+            .int("nulls_folded", stats.nulls_folded)
+            .int("rounds", stats.rounds)
+            .sample(s)
+            .emit();
+    }
+}
+
 fn main() {
     bench_core_chase_output();
+    bench_core_rigid();
     bench_quasi_inverse_cache();
     bench_equivalence_classes();
 }

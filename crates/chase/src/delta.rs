@@ -371,6 +371,7 @@ pub fn chase_incremental(
         exec: opts.exec.clone(),
         naive: false,
         step_budget,
+        one_at_a_time: false,
     };
     let end = run_rounds(
         &cfg,
@@ -569,6 +570,7 @@ pub fn chase_delta(
         exec: opts.exec.clone(),
         naive: false,
         step_budget,
+        one_at_a_time: false,
     };
 
     let (outcome, supports) = if eligible && opts.record {

@@ -29,7 +29,7 @@ use qi_lang::{compile_atoms, Egd, Tgd, Var};
 use qi_schema::{
     planning_enabled_for, Instance, MatchConstraints, MatchEngine, Pattern, Schema, Value,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A data-exchange setting `(S, T, Σ_st, Σ_t)` with `Σ_t` split into
 /// target tgds and egds.
@@ -181,65 +181,189 @@ fn enumerate_round(
     Ok(triggers)
 }
 
-/// One pass of egd repairs; `Ok(Some(n))` = `n` repairs applied,
-/// `Err`-free failure is returned through the result enum by the caller.
+/// One egd compiled for matching: the body pattern and the variable
+/// pairs its conclusion equates.
+struct CompiledEgd {
+    body: Pattern,
+    equalities: Vec<(u32, u32)>,
+}
+
+fn compile_egd(egd: &Egd) -> CompiledEgd {
+    let mut vars: Vec<Var> = Vec::new();
+    let facts = compile_atoms(&egd.body, &mut vars);
+    let idx = |v: &Var| vars.iter().position(|w| w == v).expect("validated") as u32;
+    let equalities = egd
+        .equalities
+        .iter()
+        .map(|(a, b)| (idx(a), idx(b)))
+        .collect();
+    CompiledEgd {
+        body: Pattern {
+            facts,
+            nvars: vars.len(),
+        },
+        equalities,
+    }
+}
+
+/// Which of two distinct values an egd repair keeps and which it
+/// replaces, as `(keep, replace)`: a constant beats a null, the smaller
+/// null id beats the larger; two constants are a conflict.
+fn survivor(a: Value, b: Value) -> Result<(Value, Value), (Value, Value)> {
+    match (a, b) {
+        (Value::Const(_), Value::Const(_)) => Err((a, b)),
+        (Value::Const(_), Value::Null(_)) => Ok((a, b)),
+        (Value::Null(_), Value::Const(_)) => Ok((b, a)),
+        (Value::Null(x), Value::Null(y)) => Ok(if x <= y { (a, b) } else { (b, a) }),
+    }
+}
+
+/// The partition one batched repair pass builds: a union-find over
+/// values whose root is always the class's [`survivor`] — its constant
+/// if it has one, otherwise its smallest null.
+#[derive(Default)]
+struct Merges {
+    /// Parent links of non-root values.
+    parent: HashMap<Value, Value>,
+    /// Successful unions: Σ(|class| − 1) over the partition.
+    merged: usize,
+}
+
+impl Merges {
+    fn find(&mut self, v: Value) -> Value {
+        let mut root = v;
+        while let Some(&p) = self.parent.get(&root) {
+            root = p;
+        }
+        let mut at = v;
+        while at != root {
+            at = self.parent.insert(at, root).expect("non-root has a parent");
+        }
+        root
+    }
+
+    /// Merge the classes of `a` and `b`; `Err` when each holds a
+    /// different constant.
+    fn union(&mut self, a: Value, b: Value) -> Result<(), (Value, Value)> {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            let (keep, replace) = survivor(ra, rb)?;
+            self.parent.insert(replace, keep);
+            self.merged += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Repair `egd` one violation at a time: find the first violating match
+/// in enumeration order, rewrite the whole instance to equate its two
+/// values, restart the search. This is the textbook egd step. The
+/// batched pass of [`repair_egds`] replays it on a constant–constant
+/// conflict (it names the exact pair [`TargetChaseResult::Failed`]
+/// reports), and [`chase_with_target_deps_one_at_a_time`] runs it as the
+/// referee the batched pass is tested against.
+fn repair_one_at_a_time(
+    egd: &CompiledEgd,
+    instance: &mut Instance,
+    exec: &mut ExecStats,
+    planned: bool,
+) -> Result<usize, (Value, Value)> {
+    let constraints = MatchConstraints::default();
+    let mut repairs = 0usize;
+    loop {
+        let mut violation: Option<(Value, Value)> = None;
+        let engine = MatchEngine::new(&egd.body, instance, &constraints).with_planning(planned);
+        engine.for_each(|assignment| {
+            violation = egd
+                .equalities
+                .iter()
+                .map(|&(a, b)| (assignment.value(a), assignment.value(b)))
+                .find(|(va, vb)| va != vb);
+            violation.is_none()
+        });
+        absorb_match_counters(exec, &engine.counters());
+        let Some((va, vb)) = violation else {
+            return Ok(repairs);
+        };
+        let (keep, replace) = survivor(va, vb)?;
+        *instance = instance.map_values(|v| if v == replace { keep } else { v });
+        repairs += 1;
+    }
+}
+
+/// Repair every egd, in order, to its fixpoint; returns the number of
+/// repairs, or the two constants of the first conflict.
+///
+/// Each egd is a **per-egd least fixpoint**. One `for_each` pass
+/// collects every violating pair into a union-find ([`Merges`]), one
+/// `map_values` rewrites each class to its representative, and passes
+/// repeat until one finds no violation. This is exact against
+/// [`repair_one_at_a_time`]:
+///
+/// * every pair either loop equates is forced by a match in a quotient
+///   of the egd's start state, so it lies in the least partition whose
+///   quotient satisfies the egd; both stop only once the egd holds, so
+///   both reach exactly that unique partition — the same fact set;
+/// * the representative rule is the pairwise survivor rule, so each
+///   class keeps its constant, or else its smallest null — the same
+///   values;
+/// * the one-at-a-time loop eliminates one distinct value per repair
+///   and a batched pass Σ(|class| − 1), so both count the values
+///   eliminated — the same repair count, hence the same `steps`,
+///   `rounds` and step budget;
+/// * a batched pass meets two constants in one class iff the least
+///   partition has such a class iff the one-at-a-time loop fails; the
+///   pair it fails on depends on its order, so the conflict replays
+///   that loop from the egd's start state. Failure ends the chase, so
+///   the replay is never on the solution path.
+///
+/// Stores iterate, index and enumerate facts in tuple order, so the
+/// instance's evaluation state is a function of its fact set as well.
 fn repair_egds(
     egds: &[Egd],
     instance: &mut Instance,
     exec: &mut ExecStats,
     planned: bool,
-) -> Result<Option<usize>, (Value, Value)> {
+    one_at_a_time: bool,
+) -> Result<usize, (Value, Value)> {
+    let constraints = MatchConstraints::default();
     let mut repairs = 0usize;
-    for egd in egds {
+    for egd in egds.iter().map(compile_egd) {
+        if one_at_a_time {
+            repairs += repair_one_at_a_time(&egd, instance, exec, planned)?;
+            continue;
+        }
+        // The egd's start state, kept once a pass has rewritten it.
+        let mut start: Option<Instance> = None;
         loop {
-            let mut vars: Vec<Var> = Vec::new();
-            let body_facts = compile_atoms(&egd.body, &mut vars);
-            let body = Pattern {
-                facts: body_facts,
-                nvars: vars.len(),
-            };
-            let var_idx = |v: &Var, vars: &[Var]| -> u32 {
-                vars.iter().position(|w| w == v).expect("validated") as u32
-            };
-            // Find one violating match.
-            let mut violation: Option<(Value, Value)> = None;
-            let constraints = MatchConstraints::default();
-            let engine = MatchEngine::new(&body, instance, &constraints).with_planning(planned);
+            let mut merges = Merges::default();
+            let mut conflict = false;
+            let engine = MatchEngine::new(&egd.body, instance, &constraints).with_planning(planned);
             engine.for_each(|assignment| {
-                for (a, b) in &egd.equalities {
-                    let va = assignment.value(var_idx(a, &vars));
-                    let vb = assignment.value(var_idx(b, &vars));
-                    if va != vb {
-                        violation = Some((va, vb));
-                        return false;
-                    }
-                }
-                true
+                conflict = egd.equalities.iter().any(|&(a, b)| {
+                    merges
+                        .union(assignment.value(a), assignment.value(b))
+                        .is_err()
+                });
+                !conflict
             });
             absorb_match_counters(exec, &engine.counters());
-            match violation {
-                None => break,
-                Some((va, vb)) => {
-                    let (keep, replace) = match (va, vb) {
-                        (Value::Const(_), Value::Const(_)) => return Err((va, vb)),
-                        (Value::Const(_), Value::Null(_)) => (va, vb),
-                        (Value::Null(_), Value::Const(_)) => (vb, va),
-                        // Two nulls: keep the smaller id (deterministic).
-                        (Value::Null(a), Value::Null(b)) => {
-                            if a <= b {
-                                (va, vb)
-                            } else {
-                                (vb, va)
-                            }
-                        }
-                    };
-                    *instance = instance.map_values(|v| if v == replace { keep } else { v });
-                    repairs += 1;
-                }
+            if conflict {
+                let replay = start.as_mut().unwrap_or(instance);
+                let pair = repair_one_at_a_time(&egd, replay, exec, planned)
+                    .expect_err("a conflicting partition fails the one-at-a-time loop too");
+                return Err(pair);
             }
+            if merges.merged == 0 {
+                break;
+            }
+            repairs += merges.merged;
+            let mapped = instance.map_values(|v| merges.find(v));
+            let before = std::mem::replace(instance, mapped);
+            start.get_or_insert(before);
         }
     }
-    Ok(Some(repairs))
+    Ok(repairs)
 }
 
 /// How a target chase spent its step budget — returned by
@@ -283,6 +407,30 @@ pub fn chase_with_target_deps_stats(
     target_schema: &Schema,
     options: TargetChaseOptions,
 ) -> Result<(TargetChaseResult, TargetChaseStats), ChaseError> {
+    chase_target(setting, source, target_schema, options, false)
+}
+
+/// [`chase_with_target_deps_stats`] with every egd repaired one
+/// violation at a time, paying a whole-instance rewrite per repair: the
+/// referee the batched repair is tested against (same rendered result,
+/// `steps`, rounds and `Failed` pair). Not for production use.
+#[doc(hidden)]
+pub fn chase_with_target_deps_one_at_a_time(
+    setting: &ExchangeSetting,
+    source: &Instance,
+    target_schema: &Schema,
+    options: TargetChaseOptions,
+) -> Result<(TargetChaseResult, TargetChaseStats), ChaseError> {
+    chase_target(setting, source, target_schema, options, true)
+}
+
+fn chase_target(
+    setting: &ExchangeSetting,
+    source: &Instance,
+    target_schema: &Schema,
+    options: TargetChaseOptions,
+    one_at_a_time: bool,
+) -> Result<(TargetChaseResult, TargetChaseStats), ChaseError> {
     // The s-t stage inherits the whole execution configuration, so the
     // deadline / caps / planning mode are end-to-end across the
     // exchange.
@@ -318,6 +466,7 @@ pub fn chase_with_target_deps_stats(
         exec: options.exec.clone(),
         naive: matches!(options.strategy, ChaseStrategy::Naive),
         step_budget: budget,
+        one_at_a_time,
     };
     let end = run_rounds(
         &cfg,
@@ -387,6 +536,9 @@ pub(crate) struct RoundsCfg<'a> {
     pub(crate) naive: bool,
     /// Maximum tgd firings + egd repairs (`ChaseError::Budget` beyond).
     pub(crate) step_budget: usize,
+    /// Repair egds with the one-at-a-time referee loop instead of the
+    /// batched passes (see [`chase_with_target_deps_one_at_a_time`]).
+    pub(crate) one_at_a_time: bool,
 }
 
 /// How a round loop ended (short of an error).
@@ -497,11 +649,11 @@ pub(crate) fn run_rounds(
             fired += 1;
         }
         exec.triggers_fired += fired as u64;
-        let repaired = match repair_egds(cfg.egds, &mut current, exec, cfg.planned) {
-            Ok(Some(n)) => n,
-            Ok(None) => unreachable!("repair_egds always counts"),
-            Err((left, right)) => return Ok(RoundsEnd::EgdConflict { left, right }),
-        };
+        let repaired =
+            match repair_egds(cfg.egds, &mut current, exec, cfg.planned, cfg.one_at_a_time) {
+                Ok(n) => n,
+                Err((left, right)) => return Ok(RoundsEnd::EgdConflict { left, right }),
+            };
         *steps += fired + repaired;
         // Later semi-naive rounds only re-enumerate in full after egd
         // repairs, which rewrite values wholesale and invalidate the

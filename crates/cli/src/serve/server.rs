@@ -183,8 +183,15 @@ fn serve_ndjson(
     loop {
         line.clear();
         match read_line_polling(&mut reader, &mut line, shutdown)? {
-            ReadOutcome::Closed => return Ok(()),
-            ReadOutcome::ShuttingDown => return Ok(()),
+            ReadOutcome::Closed | ReadOutcome::ShuttingDown => return Ok(()),
+            ReadOutcome::TooLarge => {
+                // The rest of the line is still unread, so the session
+                // cannot resynchronise: answer, then close.
+                metrics.record("decode", false, 0, 0, 0, 0);
+                writer.write_all(too_large().as_bytes())?;
+                writer.write_all(b"\n")?;
+                return writer.flush();
+            }
             ReadOutcome::Line => {}
         }
         let trimmed = line.trim();
@@ -207,49 +214,57 @@ enum ReadOutcome {
     Line,
     Closed,
     ShuttingDown,
+    /// The line grew past [`MAX_REQUEST_BYTES`] without a newline.
+    TooLarge,
+}
+
+/// The structured answer to an oversized request.
+fn too_large() -> String {
+    err_response(
+        &Json::Null,
+        "too-large",
+        &format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
+    )
 }
 
 /// `read_line` under the poll-interval read timeout: keeps partial
 /// lines across timeouts, re-checks the shutdown flag between polls,
-/// and enforces the request size cap.
+/// and enforces the request size cap. Every read is bounded by what the
+/// cap still allows, so a client that streams without a newline costs
+/// at most `MAX_REQUEST_BYTES + 1` bytes before the read stops with
+/// [`ReadOutcome::TooLarge`].
 fn read_line_polling(
     reader: &mut BufReader<TcpStream>,
     line: &mut String,
     shutdown: &Arc<AtomicBool>,
 ) -> std::io::Result<ReadOutcome> {
-    loop {
-        let mut buf = Vec::new();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) if buf.is_empty() && line.is_empty() => return Ok(ReadOutcome::Closed),
-            Ok(0) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
-                return Ok(ReadOutcome::Line);
-            }
-            Ok(_) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
-                if line.ends_with('\n') {
-                    return Ok(ReadOutcome::Line);
-                }
-                // A timeout can split a line; keep accumulating.
-            }
+    let mut buf = Vec::new();
+    let outcome = loop {
+        // One byte past the cap tells a line that fits (it ends in the
+        // newline) from one that does not.
+        let room = (MAX_REQUEST_BYTES + 1 - buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => break ReadOutcome::Closed,
+            Ok(0) => break ReadOutcome::Line,
+            Ok(_) if buf.ends_with(b"\n") => break ReadOutcome::Line,
+            // A timeout can split a line; keep accumulating.
+            Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
-                if shutdown.load(Ordering::SeqCst) && line.is_empty() {
-                    return Ok(ReadOutcome::ShuttingDown);
+                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
+                    break ReadOutcome::ShuttingDown;
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-        if line.len() > MAX_REQUEST_BYTES {
-            // Oversized request: fail the session rather than buffer
-            // without bound.
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                "request line exceeds size cap",
-            ));
+        if buf.len() > MAX_REQUEST_BYTES {
+            break ReadOutcome::TooLarge;
         }
+    };
+    if matches!(outcome, ReadOutcome::Line) {
+        line.push_str(&String::from_utf8_lossy(&buf));
     }
+    Ok(outcome)
 }
 
 /// Decode + dispatch one request line; returns the rendered response
@@ -457,17 +472,18 @@ fn serve_http(
     let mut reader = BufReader::new(stream);
     // Head: request line + headers, terminated by an empty line.
     let mut request_line = String::new();
-    if matches!(
-        read_line_polling(&mut reader, &mut request_line, shutdown)?,
-        ReadOutcome::Closed | ReadOutcome::ShuttingDown
-    ) {
-        return Ok(());
+    let mut head_too_large = false;
+    match read_line_polling(&mut reader, &mut request_line, shutdown)? {
+        ReadOutcome::Closed | ReadOutcome::ShuttingDown => return Ok(()),
+        ReadOutcome::TooLarge => head_too_large = true,
+        ReadOutcome::Line => {}
     }
     let mut content_length = 0usize;
-    loop {
+    while !head_too_large {
         let mut header = String::new();
         match read_line_polling(&mut reader, &mut header, shutdown)? {
             ReadOutcome::Closed | ReadOutcome::ShuttingDown => return Ok(()),
+            ReadOutcome::TooLarge => head_too_large = true,
             ReadOutcome::Line => {}
         }
         let header = header.trim();
@@ -486,13 +502,11 @@ fn serve_http(
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (status, body) = match (method, path) {
+        _ if head_too_large => ("413 Payload Too Large", too_large()),
         ("GET", "/metrics") => ("200 OK", metrics.render().render()),
         ("POST", "/rpc") => {
             if content_length > MAX_REQUEST_BYTES {
-                (
-                    "413 Payload Too Large",
-                    err_response(&Json::Null, "bad-request", "request body exceeds size cap"),
-                )
+                ("413 Payload Too Large", too_large())
             } else {
                 let mut body = vec![0u8; content_length];
                 read_exact_polling(&mut reader, &mut body, shutdown)?;

@@ -27,12 +27,27 @@
 //! some null is absent from `r`'s entire image — exactly what the
 //! per-null search looks for.
 //!
+//! # Block-local refutation
+//!
+//! Most candidate nulls are not avoidable, and a whole-instance search
+//! pays for every fact to say so. Each round therefore splits the
+//! non-ground facts into *blocks* — nulls connected through shared
+//! facts — and first searches only the block of `n`, mapped into the
+//! current instance with `n` forbidden. This is exact: an endomorphism
+//! avoiding `n` restricts to such a block match, and a block match
+//! extends by the identity on every other block and on every ground
+//! fact (no other block mentions `n`) to an endomorphism avoiding `n`.
+//! Only on a block match does the whole-instance search run, unchanged,
+//! to pick the fold — so the core and [`CoreStats`] are exactly those
+//! of the whole-instance loop. A round with a single block skips the
+//! block search, which would repeat the whole one.
+//!
 //! The pre-v2 greedy loop (drop one fact at a time while a hom into the
 //! remainder exists) is kept as [`core_of_greedy`] behind the
 //! `greedy-core` feature: it is the reference implementation the
 //! differential oracle (`tests/core_oracle.rs`) compares against.
 
-use crate::hom::{MatchConstraints, MatchEngine, Pattern};
+use crate::hom::{MatchConstraints, MatchEngine, PatFact, PatTerm, Pattern, VarIdx};
 use crate::instance::Instance;
 use crate::value::{NullId, Value};
 use std::collections::BTreeMap;
@@ -72,30 +87,116 @@ pub fn core_of_with_stats(instance: &Instance) -> (Instance, CoreStats) {
         }
         stats.rounds += 1;
         let (pattern, vars) = Pattern::from_instance(&current);
-        for &n in &nulls {
+        let blocks = NullBlocks::of(&pattern);
+        let lone = blocks.patterns.len() == 1;
+        for (i, &n) in nulls.iter().enumerate() {
             stats.endos_tried += 1;
             let constraints = MatchConstraints {
                 forbidden_values: vec![Value::Null(n)],
                 ..Default::default()
             };
-            let engine = MatchEngine::new(&pattern, &current, &constraints);
-            if let Some(h) = engine.any_match() {
-                // h is an endomorphism of `current` whose image avoids
-                // Null(n): the mapped instance is a subinstance missing
-                // at least that null (h one way, inclusion back, so
-                // hom-equivalence is preserved).
-                let map: BTreeMap<Value, Value> = vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &m)| (Value::Null(m), h.value(i as u32)))
-                    .collect();
-                let before = current.nulls().len();
-                current = current.map_values(|v| map.get(&v).copied().unwrap_or(v));
-                stats.nulls_folded += (before - current.nulls().len()) as u64;
-                continue 'outer;
+            // Block-local refutation: every other block and every ground
+            // fact keep the identity as a witness avoiding `n`, so an
+            // endomorphism avoiding `n` exists iff `n`'s block maps into
+            // the instance avoiding `n`. (A lone block is the whole
+            // search, so it goes straight there.)
+            let block = &blocks.patterns[blocks.block_of[i]];
+            if !lone && !MatchEngine::new(block, &current, &constraints).exists() {
+                continue;
             }
+            let engine = MatchEngine::new(&pattern, &current, &constraints);
+            let Some(h) = engine.any_match() else {
+                assert!(lone, "a block match extends by the identity");
+                continue;
+            };
+            // h is an endomorphism of `current` whose image avoids
+            // Null(n): the mapped instance is a subinstance missing at
+            // least that null (h one way, inclusion back, so
+            // hom-equivalence is preserved).
+            let map: BTreeMap<Value, Value> = vars
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| (Value::Null(m), h.value(i as u32)))
+                .collect();
+            let before = current.nulls().len();
+            current = current.map_values(|v| map.get(&v).copied().unwrap_or(v));
+            stats.nulls_folded += (before - current.nulls().len()) as u64;
+            continue 'outer;
         }
         return (current, stats);
+    }
+}
+
+/// The non-ground facts of an instance split into **blocks**: nulls
+/// connected through shared facts, each block a pattern whose variables
+/// are its nulls (constants stay fixed).
+struct NullBlocks {
+    /// One pattern per block, in order of each block's smallest null.
+    patterns: Vec<Pattern>,
+    /// `block_of[v]` = the block of the instance pattern's variable `v`.
+    block_of: Vec<usize>,
+}
+
+impl NullBlocks {
+    /// Blocks of an instance, read off its [`Pattern::from_instance`]
+    /// pattern (one variable per null, ground facts variable-free).
+    fn of(pattern: &Pattern) -> NullBlocks {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        fn vars_of(f: &PatFact) -> impl Iterator<Item = usize> + '_ {
+            f.args.iter().filter_map(|t| match *t {
+                PatTerm::Var(v) => Some(v as usize),
+                PatTerm::Value(_) => None,
+            })
+        }
+        let mut parent: Vec<usize> = (0..pattern.nvars).collect();
+        for f in &pattern.facts {
+            let mut vs = vars_of(f);
+            if let Some(first) = vs.next() {
+                for v in vs {
+                    let (a, b) = (find(&mut parent, first), find(&mut parent, v));
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+        }
+        // Roots are each block's smallest variable, so numbering blocks
+        // by first root seen orders them by smallest null.
+        let mut block_of_root: Vec<Option<usize>> = vec![None; pattern.nvars];
+        let mut block_of = Vec::with_capacity(pattern.nvars);
+        let mut local: Vec<VarIdx> = Vec::with_capacity(pattern.nvars);
+        let mut patterns: Vec<Pattern> = Vec::new();
+        for v in 0..pattern.nvars {
+            let root = find(&mut parent, v);
+            let b = *block_of_root[root].get_or_insert_with(|| {
+                patterns.push(Pattern::empty(0));
+                patterns.len() - 1
+            });
+            local.push(patterns[b].nvars as VarIdx);
+            patterns[b].nvars += 1;
+            block_of.push(b);
+        }
+        for f in &pattern.facts {
+            let Some(v) = vars_of(f).next() else {
+                continue;
+            };
+            patterns[block_of[v]].facts.push(PatFact {
+                rel: f.rel,
+                args: f
+                    .args
+                    .iter()
+                    .map(|t| match *t {
+                        PatTerm::Var(v) => PatTerm::Var(local[v as usize]),
+                        c => c,
+                    })
+                    .collect(),
+            });
+        }
+        NullBlocks { patterns, block_of }
     }
 }
 

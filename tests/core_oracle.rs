@@ -15,7 +15,10 @@
 //!   fact would contradict core-ness), checked fact by fact with the
 //!   plain `has_hom` search.
 //!
-//! The final test sweeps the executor thread counts (1 and 4): `core_of`
+//! A fourth referee is the whole-instance loop `core_of` ran before
+//! block-local refutation: same rendered core, same `CoreStats`.
+//!
+//! The thread-sweep test covers executor thread counts 1 and 4: `core_of`
 //! sits on top of `exists`/`any_match`, whose component decomposition may
 //! fan out through `qi-exec`, and the rendered core must stay
 //! byte-identical at every setting — same contract `tests/match_oracle.rs`
@@ -23,11 +26,12 @@
 
 use quasi_inverse::exec::set_global_threads;
 use quasi_inverse::schema::{
-    core_of, core_of_greedy, core_of_with_stats, has_hom, hom_equivalent, is_isomorphic, Instance,
-    Schema, Value,
+    core_of, core_of_greedy, core_of_with_stats, has_hom, hom_equivalent, is_isomorphic, CoreStats,
+    Instance, MatchConstraints, MatchEngine, NullId, PatFact, PatTerm, Pattern, Schema, Value,
 };
 use quasi_inverse::workloads::random::rng;
 use quasi_inverse::workloads::rng::Rng64;
+use std::collections::BTreeMap;
 
 const CASES: u64 = 40;
 
@@ -150,4 +154,191 @@ fn core_is_byte_identical_across_thread_counts() {
             .map(|i| core_of(i).to_string())
             .collect::<Vec<_>>()
     );
+}
+
+// ---------------------------------------------------------------------
+// Block-local refutation: `core_of` refutes "some endomorphism avoids
+// null n" on n's block alone. The referees below are the whole-instance
+// search it replaced.
+// ---------------------------------------------------------------------
+
+fn avoiding(n: NullId) -> MatchConstraints {
+    MatchConstraints {
+        forbidden_values: vec![Value::Null(n)],
+        ..Default::default()
+    }
+}
+
+/// Is there an endomorphism of `i` whose image avoids `n`? The whole
+/// instance as the pattern.
+fn whole_instance_avoids(i: &Instance, n: NullId) -> bool {
+    let (pattern, _) = Pattern::from_instance(i);
+    MatchEngine::new(&pattern, i, &avoiding(n))
+        .any_match()
+        .is_some()
+}
+
+/// The same question on `n`'s block only: the non-ground facts reachable
+/// from `n` through shared nulls, found by a plain fixpoint.
+fn block_avoids(i: &Instance, n: NullId) -> bool {
+    let facts: Vec<_> = i.facts().filter(|f| !f.is_ground()).collect();
+    let mut block_nulls = vec![n];
+    let mut in_block = vec![false; facts.len()];
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (k, f) in facts.iter().enumerate() {
+            let touches = f
+                .args
+                .iter()
+                .any(|v| matches!(v, Value::Null(m) if block_nulls.contains(m)));
+            if !in_block[k] && touches {
+                in_block[k] = true;
+                grew = true;
+                for v in &f.args {
+                    if let Value::Null(m) = *v {
+                        if !block_nulls.contains(&m) {
+                            block_nulls.push(m);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let var = |m: NullId| block_nulls.iter().position(|&b| b == m).unwrap() as u32;
+    let pattern = Pattern {
+        facts: facts
+            .iter()
+            .zip(&in_block)
+            .filter(|(_, &b)| b)
+            .map(|(f, _)| PatFact {
+                rel: f.rel,
+                args: f
+                    .args
+                    .iter()
+                    .map(|&v| match v {
+                        Value::Null(m) => PatTerm::Var(var(m)),
+                        c => PatTerm::Value(c),
+                    })
+                    .collect(),
+            })
+            .collect(),
+        nvars: block_nulls.len(),
+    };
+    MatchEngine::new(&pattern, i, &avoiding(n)).exists()
+}
+
+/// The retraction fold with the whole-instance search for every null —
+/// the loop block-local refutation must reproduce byte for byte,
+/// counters included.
+fn whole_instance_core(instance: &Instance) -> (Instance, CoreStats) {
+    let mut stats = CoreStats::default();
+    let mut current = instance.clone();
+    'outer: loop {
+        let nulls: Vec<NullId> = current.nulls().iter().copied().collect();
+        if nulls.is_empty() {
+            return (current, stats);
+        }
+        stats.rounds += 1;
+        let (pattern, vars) = Pattern::from_instance(&current);
+        for &n in &nulls {
+            stats.endos_tried += 1;
+            let constraints = avoiding(n);
+            if let Some(h) = MatchEngine::new(&pattern, &current, &constraints).any_match() {
+                let map: BTreeMap<Value, Value> = vars
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &m)| (Value::Null(m), h.value(k as u32)))
+                    .collect();
+                let before = current.nulls().len();
+                current = current.map_values(|v| map.get(&v).copied().unwrap_or(v));
+                stats.nulls_folded += (before - current.nulls().len()) as u64;
+                continue 'outer;
+            }
+        }
+        return (current, stats);
+    }
+}
+
+/// `core_of_with_stats` against the whole-instance loop: same rendered
+/// core, same counters.
+fn check_against_whole_instance(i: &Instance, ctx: &str) -> CoreStats {
+    let (core, stats) = core_of_with_stats(i);
+    let (reference, ref_stats) = whole_instance_core(i);
+    assert_eq!(
+        core.to_string(),
+        reference.to_string(),
+        "{ctx}: core differs"
+    );
+    assert_eq!(stats, ref_stats, "{ctx}: CoreStats differ");
+    stats
+}
+
+#[test]
+fn block_local_refutation_agrees_with_the_whole_instance_search() {
+    let schema = Schema::parse("E/2 P/2 Q/1").unwrap();
+    let (mut avoidable, mut rigid) = (0, 0);
+    for seed in 0..CASES {
+        let mut r = rng(7_000 + seed);
+        let n_facts = 2 + r.random_range(0..8);
+        let n_vals = 2 + r.random_range(0..4);
+        let i = random_instance(&schema, &mut r, n_facts, n_vals);
+        for &n in i.nulls().iter() {
+            let whole = whole_instance_avoids(&i, n);
+            assert_eq!(block_avoids(&i, n), whole, "seed {seed}, null {n:?}, {i}");
+            if whole {
+                avoidable += 1;
+            } else {
+                rigid += 1;
+            }
+        }
+        check_against_whole_instance(&i, &format!("seed {seed}"));
+    }
+    assert!(
+        avoidable > 10 && rigid > 10,
+        "{avoidable} avoidable / {rigid} rigid"
+    );
+}
+
+/// `blocks` copies of a rigid two-null gadget, each anchored on its own
+/// constants; `folding` of them also get a redundant null fact that
+/// folds onto the gadget.
+fn gadgets(schema: &Schema, blocks: usize, folding: usize) -> Instance {
+    let mut text = String::new();
+    for b in 0..blocks as u64 {
+        let (n1, n2) = (3 * b, 3 * b + 1);
+        text.push_str(&format!(
+            " E(a{b},N{n1}) E(N{n1},N{n2}) E(N{n2},b{b}) P(N{n1},N{n2})"
+        ));
+        if (b as usize) < folding {
+            text.push_str(&format!(" E(a{b},N{})", 3 * b + 2));
+        }
+    }
+    Instance::parse(schema, &text).unwrap()
+}
+
+#[test]
+fn many_block_rigid_instance_keeps_its_counters() {
+    let schema = Schema::parse("E/2 P/2 Q/1").unwrap();
+    let i = gadgets(&schema, 24, 0);
+    let stats = check_against_whole_instance(&i, "rigid");
+    assert_eq!(
+        stats,
+        CoreStats {
+            endos_tried: 48,
+            nulls_folded: 0,
+            rounds: 1
+        }
+    );
+    assert_eq!(core_of(&i), i, "a rigid instance is its own core");
+}
+
+#[test]
+fn mixed_instance_folds_only_its_redundant_blocks() {
+    let schema = Schema::parse("E/2 P/2 Q/1").unwrap();
+    let i = gadgets(&schema, 12, 5);
+    let stats = check_against_whole_instance(&i, "mixed");
+    assert_eq!(stats.nulls_folded, 5, "{stats:?}");
+    assert_eq!(core_of(&i), gadgets(&schema, 12, 0));
+    check_core(&i, "mixed");
 }

@@ -248,6 +248,49 @@ fn malformed_wire_input_yields_structured_errors_never_panics() {
 }
 
 #[test]
+fn oversized_line_without_newline_gets_a_too_large_error() {
+    // The server caps a request line at 8 MiB; a client that streams
+    // past the cap without ever sending a newline must get a structured
+    // error instead of growing the server's buffer, and other sessions
+    // must keep being served.
+    const CAP: usize = 8 * 1024 * 1024;
+    let server = start("127.0.0.1:0", |_| {}).expect("server binds");
+    let (mut other, mut other_reader) = connect(server.addr());
+    let (mut flood, mut flood_reader) = connect(server.addr());
+    // Exactly one byte past the cap: the server stops reading there, so
+    // nothing is left unread when it closes the session.
+    let mut payload = vec![b'x'; CAP + 1];
+    payload[0] = b'{';
+    flood.write_all(&payload).expect("flood write");
+    flood.flush().expect("flood flush");
+    let mut response = String::new();
+    flood_reader
+        .read_line(&mut response)
+        .expect("too-large response");
+    let doc = parse(response.trim_end()).expect("too-large response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("too-large"),
+        "{response}"
+    );
+    // The flooding session is closed after the answer.
+    let mut rest = Vec::new();
+    flood_reader.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty());
+    let resp = roundtrip(
+        &mut other,
+        &mut other_reader,
+        r#"{"op":"list","id":"still"}"#,
+    );
+    let doc = parse(&resp).expect("list response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_request_drains_and_closes_the_listener() {
     let server = start("127.0.0.1:0", |_| {}).expect("server binds");
     let addr = server.addr();
