@@ -46,7 +46,7 @@
 //! facts. Support edges (one recorded derivation per derived fact, plus
 //! the reverse index) name facts by tuple id, which the rename keeps;
 //! they are collected during eligible runs by
-//! `crate::target::run_rounds`. Settings with existential target tgds
+//! `crate::target::Rounds::run`. Settings with existential target tgds
 //! or egds fall back to re-running the target stage from the replayed
 //! s-t output — still byte-identical, still skipping nothing observable.
 //!
@@ -55,19 +55,19 @@
 //! keyed by instance content, so eviction is never needed for
 //! correctness).
 
-use crate::error::{ChaseError, ChasePartial};
-use crate::standard::{
-    absorb_match_counters, body_fact_keys, commit_st, compile, enumeration_hint, fire_collect,
-    run_st, ChaseOptions, ChaseOutcome, CompiledTgd, FactKey, StTrigger, StTriggerLog,
+use crate::error::ChaseError;
+use crate::kernel::{
+    absorb_match_counters, body_fact_keys, fire_tgd, tripped, values_of, CompiledTgd, FactKey,
+    Kernel, Scan, Trigger, TriggerLog,
 };
+use crate::standard::{run_st, ChaseOptions};
 use crate::target::{
-    derive_step_budget, run_rounds, ExchangeSetting, RoundsCfg, RoundsEnd, TargetChaseResult,
-    TargetChaseStats,
+    ExchangeSetting, Rounds, TargetChaseOptions, TargetChaseResult, TargetChaseStats,
 };
-use qi_exec::{par_map_budgeted_hinted, ExecConfig, ExecStats};
+use qi_exec::{ExecConfig, ExecStats};
 use qi_schema::{
-    planning_enabled_for, Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, NullId,
-    PatTerm, RelId, Schema, TupleId, Value,
+    Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, NullId, PatTerm, RelId, Schema,
+    TupleId, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -212,7 +212,7 @@ impl NullRenaming {
         prev: &ChaseResult,
         source: &Instance,
         compiled: &[CompiledTgd],
-        merged: &StTriggerLog,
+        merged: &TriggerLog,
         old_minted: &[Vec<Option<u64>>],
     ) -> Self {
         let old_floor = prev.source.fresh_null_floor();
@@ -277,12 +277,23 @@ impl Default for DeltaChaseOptions {
     }
 }
 
+impl DeltaChaseOptions {
+    /// The target-stage options of an incremental run: this execution
+    /// configuration, the default step budget and strategy.
+    fn target(&self) -> TargetChaseOptions {
+        TargetChaseOptions {
+            exec: self.exec.clone(),
+            ..Default::default()
+        }
+    }
+}
+
 /// The memo a producing run leaves behind for [`chase_delta`].
 #[derive(Clone, Debug, Default)]
 struct Memo {
     /// Per-tgd s-t trigger enumerations, in enumeration order, with the
     /// first null each trigger minted (the input of the null renaming).
-    st_log: StTriggerLog,
+    st_log: TriggerLog,
     /// Target-stage support edges (Datalog-eligible settings only).
     supports: SupportLog,
 }
@@ -321,86 +332,66 @@ impl ChaseResult {
     }
 }
 
-/// Is the target stage a Datalog program (existential-free tgds, no
-/// egds)? Then its fixpoint is a unique least fixpoint and the DRed +
-/// semi-naive continuation path is exact.
-fn datalog_eligible(setting: &ExchangeSetting, compiled: &[CompiledTgd]) -> bool {
-    setting.egds.is_empty() && compiled.iter().all(|c| c.head.nvars == c.n_body_vars)
-}
-
 /// Full chase that records the incremental memo: s-t chase (logging the
-/// trigger enumeration), then the target round loop (logging support
-/// edges when the setting is Datalog-eligible).
+/// trigger enumeration), then the target rounds (logging support edges
+/// when the target stage is Datalog).
 ///
 /// The produced artifacts are byte-identical to
-/// [`crate::chase_with_target_deps_stats`] with default target options —
-/// both run the same staged code, recording is observation-only.
+/// [`crate::chase_with_target_deps_stats`] with default target options,
+/// and so are `steps` and the round and trigger counters — both run the
+/// same staged code, recording is observation-only.
 pub fn chase_incremental(
     setting: &ExchangeSetting,
     source: &Instance,
     target_schema: &Schema,
     opts: &DeltaChaseOptions,
 ) -> Result<ChaseResult, ChaseError> {
-    let mut st_log = StTriggerLog::default();
-    let ChaseOutcome {
-        instance: base,
-        stats: st_stats,
-        ..
-    } = run_st(
+    let mut st_log = TriggerLog::default();
+    let st = run_st(
         &setting.st_tgds,
         source,
         target_schema,
         true,
-        ChaseOptions {
-            exec: opts.exec.clone(),
-        },
+        ChaseOptions::with_exec(opts.exec.clone()),
         opts.record.then_some(&mut st_log),
     )?;
-    let compiled: Vec<CompiledTgd> = setting.target_tgds.iter().map(compile).collect();
-    let eligible = datalog_eligible(setting, &compiled);
-    let (step_budget, certified) =
-        derive_step_budget(None, None, &setting.target_tgds, base.active_domain().len());
-    let mut next_null = base.fresh_null_floor().max(source.fresh_null_floor());
-    let mut steps = 0usize;
-    let mut exec = st_stats;
     let mut supports = SupportLog::default();
-    let cfg = RoundsCfg {
-        compiled: &compiled,
-        egds: &setting.egds,
-        planned: planning_enabled_for(opts.exec.planning),
-        exec: opts.exec.clone(),
-        naive: false,
-        step_budget,
-        one_at_a_time: false,
-    };
-    let end = run_rounds(
-        &cfg,
-        base.clone(),
-        &mut next_null,
-        &mut steps,
+    let staged = Rounds::new(setting, &opts.target(), source, &st.instance, false).run(
+        st.instance.clone(),
         true,
-        &mut exec,
-        (opts.record && eligible).then_some(&mut supports),
+        st.stats,
+        opts.record.then_some(&mut supports),
     )?;
-    let outcome = match end {
-        RoundsEnd::Fixpoint(u) => TargetChaseResult::Solution(u),
-        RoundsEnd::EgdConflict { left, right } => TargetChaseResult::Failed { left, right },
-    };
-    let memo = (opts.record && matches!(outcome, TargetChaseResult::Solution(_)))
-        .then_some(Memo { st_log, supports });
-    Ok(ChaseResult {
+    let memo = Memo { st_log, supports };
+    Ok(finish(
+        setting,
+        source.clone(),
+        st.instance,
+        staged,
+        opts,
+        memo,
+    ))
+}
+
+/// Assemble a maintainable result. The memo is kept only when recording
+/// and the target stage reached a solution.
+fn finish(
+    setting: &ExchangeSetting,
+    source: Instance,
+    base: Instance,
+    (outcome, stats): (TargetChaseResult, TargetChaseStats),
+    opts: &DeltaChaseOptions,
+    memo: Memo,
+) -> ChaseResult {
+    let keep = opts.record && matches!(outcome, TargetChaseResult::Solution(_));
+    ChaseResult {
         setting: setting.clone(),
-        source: source.clone(),
+        source,
         base,
         outcome,
-        stats: TargetChaseStats {
-            steps,
-            budget: step_budget,
-            certified,
-            exec,
-        },
-        memo,
-    })
+        stats,
+        memo: keep.then_some(memo),
+    }
 }
 
 /// Store-style key of a fact.
@@ -451,56 +442,15 @@ pub fn chase_delta(
     };
 
     // ---- s-t stage: memoized replay + delta enumeration ----
+    // Enumerate only the *new* triggers: the per-round delta of `source`
+    // holds exactly the effectively added facts. Unordered is safe: the
+    // merge below re-keys every new trigger by its enumeration key, which
+    // also dedups a trigger with two new body facts (found twice).
+    let st = Kernel::new(&setting.st_tgds, &opts.exec);
+    let fresh = st
+        .enumerate(&source, Scan::Delta, &mut exec)
+        .map_err(|e| tripped(e, &exec, None))?;
     let removed_keys: HashSet<FactKey> = diff.removed.iter().map(fact_key).collect();
-    let st_compiled: Vec<CompiledTgd> = setting.st_tgds.iter().map(compile).collect();
-    let planned = planning_enabled_for(opts.exec.planning);
-    let budget = &opts.exec.budget;
-
-    // Enumerate only the *new* triggers: one delta-restricted task per
-    // (tgd, body atom); the per-round delta of `source` holds exactly
-    // the effectively added facts.
-    let mut tasks: Vec<(usize, usize)> = Vec::new();
-    for (ti, c) in st_compiled.iter().enumerate() {
-        for atom in 0..c.body.facts.len() {
-            tasks.push((ti, atom));
-        }
-    }
-    let constraints = MatchConstraints::default();
-    let hint = enumeration_hint(&st_compiled, &source, planned);
-    let (results, stats) = par_map_budgeted_hinted(
-        opts.exec.parallelism,
-        &tasks,
-        budget,
-        hint,
-        |&(ti, atom)| {
-            let c = &st_compiled[ti];
-            let engine = MatchEngine::new(&c.body, &source, &constraints)
-                .with_planning(planned)
-                .with_delta_atom(Some(atom));
-            // Unordered is safe: the per-tgd merge below re-keys every
-            // new trigger by its enumeration key.
-            let matches: Vec<Vec<Value>> = engine
-                .all_unordered()
-                .iter()
-                .map(|a| (0..c.n_body_vars as u32).map(|i| a.value(i)).collect())
-                .collect();
-            (matches, engine.counters())
-        },
-    )
-    .map_err(|e| ChaseError::resource(e, exec.clone(), ChasePartial::None))?;
-    exec.absorb(&stats);
-    // fresh[ti]: enumeration key → body_vals, deduped across the atom
-    // tasks of one tgd (a trigger with two new body facts shows up in
-    // two tasks).
-    let mut fresh: Vec<BTreeMap<Vec<FactKey>, Vec<Value>>> =
-        vec![BTreeMap::new(); st_compiled.len()];
-    for ((ti, _), (matches, counters)) in tasks.iter().zip(results) {
-        absorb_match_counters(&mut exec, &counters);
-        for body_vals in matches {
-            let key = body_fact_keys(&st_compiled[*ti], &body_vals);
-            fresh[*ti].insert(key, body_vals);
-        }
-    }
 
     // Merge memoized survivors with the fresh triggers by enumeration
     // key. Old triggers arrive in enumeration order (= key order), and
@@ -508,30 +458,25 @@ pub fn chase_delta(
     // one genuinely new fact), so this merge *is* the from-scratch
     // enumeration of the updated source. Survivors carry the null they
     // minted in the previous run until the commit overwrites it.
-    let mut merged_log: StTriggerLog = Vec::with_capacity(st_compiled.len());
-    for (ti, c) in st_compiled.iter().enumerate() {
-        let old = &memo.st_log[ti];
-        let mut out: Vec<StTrigger> = Vec::with_capacity(old.len() + fresh[ti].len());
-        let mut new_iter = std::mem::take(&mut fresh[ti]).into_iter().peekable();
-        let new_trigger = |(_, body_vals)| StTrigger {
-            body_vals,
-            minted: None,
-        };
+    let mut merged_log: TriggerLog = Vec::with_capacity(st.compiled.len());
+    for ((c, old), fresh) in st.compiled.iter().zip(&memo.st_log).zip(fresh) {
+        let fresh: BTreeMap<Vec<FactKey>, Trigger> = fresh
+            .into_iter()
+            .map(|t| (body_fact_keys(c, &t.body_vals), t))
+            .collect();
+        let mut fresh = fresh.into_iter().peekable();
+        let mut out: Vec<Trigger> = Vec::with_capacity(old.len() + fresh.len());
         for t in old {
             let key = body_fact_keys(c, &t.body_vals);
             if key.iter().any(|k| removed_keys.contains(k)) {
                 continue; // trigger lost a body fact
             }
-            while let Some((nk, _)) = new_iter.peek() {
-                if *nk < key {
-                    out.push(new_trigger(new_iter.next().unwrap()));
-                } else {
-                    break;
-                }
+            while let Some((_, n)) = fresh.next_if(|(nk, _)| *nk < key) {
+                out.push(n);
             }
             out.push(t.clone());
         }
-        out.extend(new_iter.map(new_trigger));
+        out.extend(fresh.map(|(_, t)| t));
         merged_log.push(out);
     }
     let old_minted: Vec<Vec<Option<u64>>> = merged_log
@@ -539,45 +484,26 @@ pub fn chase_delta(
         .map(|ts| ts.iter().map(|t| t.minted).collect())
         .collect();
 
-    // Redo the commits: the from-scratch s-t commit loop, over the
-    // merged stream.
-    let (base_new, _) = commit_st(
-        &st_compiled,
+    // Redo the commits: the from-scratch s-t commit, over the merged
+    // stream.
+    let mut base_new = Instance::new(target_schema);
+    let mut next_null = source.fresh_null_floor();
+    st.commit(
         &mut merged_log,
-        &target_schema,
-        source.fresh_null_floor(),
+        &mut base_new,
+        &mut next_null,
         true,
-        planned,
-        budget,
         &mut exec,
+        None,
     )?;
 
     // ---- target stage ----
-    let compiled: Vec<CompiledTgd> = setting.target_tgds.iter().map(compile).collect();
-    let eligible = datalog_eligible(setting, &compiled);
-    let (step_budget, certified) = derive_step_budget(
-        None,
-        None,
-        &setting.target_tgds,
-        base_new.active_domain().len(),
-    );
-    let mut steps = 0usize;
-    let mut next_null = base_new.fresh_null_floor().max(source.fresh_null_floor());
-    let cfg = RoundsCfg {
-        compiled: &compiled,
-        egds: &setting.egds,
-        planned,
-        exec: opts.exec.clone(),
-        naive: false,
-        step_budget,
-        one_at_a_time: false,
-    };
-
-    let (outcome, supports) = if eligible && opts.record {
+    let rounds = Rounds::new(setting, &opts.target(), &source, &base_new, false);
+    let (staged, supports) = if rounds.datalog() && opts.record {
         // Rename the previous solution into the new run's null
         // namespace; tuple ids survive, so the support log only drops
         // the dead ones. From here on DRed sees only the real change.
-        let rho = NullRenaming::new(prev, &source, &st_compiled, &merged_log, &old_minted);
+        let rho = NullRenaming::new(prev, &source, &st.compiled, &merged_log, &old_minted);
         let mut working = prev_solution.rename_nulls(|n| rho.null(n));
         exec.facts_deleted += (prev_solution.fact_count() - working.fact_count()) as u64;
         let live = |(rel, id): FactId| working.store().live_tuple(rel as usize, id).is_some();
@@ -601,7 +527,7 @@ pub fn chase_delta(
         // that seeds the semi-naive continuation.
         working.begin_round();
         dred_rederive(
-            &cfg,
+            &rounds.kernel,
             &mut working,
             &mut supports,
             &mut deleted,
@@ -617,56 +543,19 @@ pub fn chase_delta(
                 }
             }
         }
-        let end = run_rounds(
-            &cfg,
-            working,
-            &mut next_null,
-            &mut steps,
-            false,
-            &mut exec,
-            Some(&mut supports),
-        )?;
-        let outcome = match end {
-            RoundsEnd::Fixpoint(u) => TargetChaseResult::Solution(u),
-            RoundsEnd::EgdConflict { .. } => unreachable!("eligible settings have no egds"),
-        };
-        (outcome, supports)
+        let staged = rounds.run(working, false, exec, Some(&mut supports))?;
+        (staged, supports)
     } else {
         // Existential target tgds or egds: re-run the target stage from
         // the replayed base — byte-identical by construction.
-        let end = run_rounds(
-            &cfg,
-            base_new.clone(),
-            &mut next_null,
-            &mut steps,
-            true,
-            &mut exec,
-            None,
-        )?;
-        let outcome = match end {
-            RoundsEnd::Fixpoint(u) => TargetChaseResult::Solution(u),
-            RoundsEnd::EgdConflict { left, right } => TargetChaseResult::Failed { left, right },
-        };
-        (outcome, SupportLog::default())
+        let staged = rounds.run(base_new.clone(), true, exec, None)?;
+        (staged, SupportLog::default())
     };
-
-    let memo = (opts.record && matches!(outcome, TargetChaseResult::Solution(_))).then_some(Memo {
+    let memo = Memo {
         st_log: merged_log,
         supports,
-    });
-    let mut next = ChaseResult {
-        setting: setting.clone(),
-        source,
-        base: base_new,
-        outcome,
-        stats: TargetChaseStats {
-            steps,
-            budget: step_budget,
-            certified,
-            exec,
-        },
-        memo,
     };
+    let mut next = finish(setting, source, base_new, staged, opts, memo);
     evict_cache(opts, prev, &mut next);
     Ok(next)
 }
@@ -712,7 +601,7 @@ fn dred_over_delete(
 /// caller opened a round) and re-record their support; iterate to a
 /// fixpoint since one restoration can enable the next.
 fn dred_rederive(
-    cfg: &RoundsCfg<'_>,
+    kernel: &Kernel,
     working: &mut Instance,
     supports: &mut SupportLog,
     deleted: &mut BTreeSet<FactKey>,
@@ -721,24 +610,19 @@ fn dred_rederive(
 ) -> Result<(), ChaseError> {
     // head_index: relation → (tgd, head atom) pairs that can produce it.
     let mut head_index: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-    for (ti, c) in cfg.compiled.iter().enumerate() {
+    for (ti, c) in kernel.compiled.iter().enumerate() {
         for (ai, f) in c.head.facts.iter().enumerate() {
             head_index.entry(f.rel.index()).or_default().push((ti, ai));
         }
     }
-    let limited = !cfg.exec.budget.is_unlimited();
     loop {
         let mut restored: Vec<FactKey> = Vec::new();
         for k in deleted.iter() {
-            if limited {
-                if let Err(e) = cfg.exec.budget.check() {
-                    return Err(ChaseError::resource(
-                        e,
-                        exec.clone(),
-                        ChasePartial::Instance(working.clone()),
-                    ));
-                }
-            }
+            kernel
+                .exec
+                .budget
+                .check()
+                .map_err(|e| tripped(e, exec, Some(working)))?;
             if working.contains_fact(&key_fact(k)) {
                 restored.push(k.clone());
                 continue;
@@ -756,7 +640,7 @@ fn dred_rederive(
                 continue;
             };
             'producers: for &(ti, ai) in producers {
-                let c = &cfg.compiled[ti];
+                let c = &kernel.compiled[ti];
                 let atom = &c.head.facts[ai];
                 // Unify the head atom with the deleted fact: constants
                 // must match, repeated variables must agree. Eligible
@@ -782,19 +666,13 @@ fn dred_rederive(
                     ..Default::default()
                 };
                 let engine =
-                    MatchEngine::new(&c.body, working, &constraints).with_planning(cfg.planned);
+                    MatchEngine::new(&c.body, working, &constraints).with_planning(kernel.planned);
                 let witness = engine.first();
                 absorb_match_counters(exec, &engine.counters());
                 if let Some(a) = witness {
-                    let body_vals: Vec<Value> =
-                        (0..c.n_body_vars as u32).map(|i| a.value(i)).collect();
-                    let mut new_facts = Vec::new();
-                    fire_collect(c, &body_vals, working, &mut 0, |fact| new_facts.push(fact));
-                    let body = body_fact_keys(c, &body_vals);
-                    for fact in &new_facts {
-                        supports.record(working, fact, &body);
-                    }
-                    exec.facts_rederived += new_facts.len() as u64;
+                    let body_vals = values_of(&a, c.n_body_vars);
+                    let added = fire_tgd(c, &body_vals, working, &mut 0, Some(supports));
+                    exec.facts_rederived += added as u64;
                     if working.contains_fact(&key_fact(k)) {
                         restored.push(k.clone());
                         break 'producers;

@@ -16,13 +16,13 @@
 //! blow-up on large inputs.
 
 use crate::error::{ChaseError, ChasePartial};
-use crate::standard::absorb_match_counters;
+use crate::kernel::{absorb_match_counters, fire, pinned, values_of};
 use crate::strategy::ChaseStrategy;
 use qi_exec::{par_map_budgeted_hinted, CostHint, ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, DisjTgd, Var};
 use qi_schema::{
-    planning_enabled_for, Instance, MatchConstraints, MatchCounters, MatchEngine, PatTerm, Pattern,
-    Schema, Value,
+    planning_enabled_for, Instance, MatchConstraints, MatchCounters, MatchEngine, Pattern, Schema,
+    Value,
 };
 
 /// Options for the disjunctive chase.
@@ -71,16 +71,19 @@ pub struct DisjChaseOutcome {
     pub stats: ExecStats,
 }
 
-struct CompiledDep {
-    body: Pattern,
-    body_constraints: MatchConstraints,
-    n_body: usize,
-    /// One pattern per disjunct; variables `0..n_body` are shared with the
-    /// body, the rest are the disjunct's existentials in order.
-    disjuncts: Vec<Pattern>,
+/// Compiled form of one disjunctive tgd: the body with its `Constant`
+/// and `≠` guards, and one pattern per disjunct laid out like a tgd head
+/// (variables `0..n_body` shared with the body, the disjunct's
+/// existentials after them), so the chase kernel's `fire` instantiates
+/// it.
+pub(crate) struct CompiledDep {
+    pub(crate) body: Pattern,
+    pub(crate) body_constraints: MatchConstraints,
+    pub(crate) n_body: usize,
+    pub(crate) disjuncts: Vec<Pattern>,
 }
 
-fn compile(dep: &DisjTgd) -> CompiledDep {
+pub(crate) fn compile(dep: &DisjTgd) -> CompiledDep {
     let mut vars: Vec<Var> = Vec::new();
     let body_facts = compile_atoms(&dep.body, &mut vars);
     let n_body = vars.len();
@@ -122,24 +125,21 @@ fn compile(dep: &DisjTgd) -> CompiledDep {
 /// A premise match: which dependency, and the values of its body variables.
 struct Trigger {
     dep: usize,
-    fixed: Vec<(u32, Value)>,
+    body_vals: Vec<Value>,
 }
 
-/// Is some disjunct of `dep` satisfied in `to` under the trigger's fixed
-/// body assignment? Each probe's engine is a throwaway, so its match
-/// counters are drained into `counters` before it drops.
+/// Is some disjunct of `dep` satisfied in `to` under the trigger's body
+/// values? Each probe's engine is a throwaway, so its match counters are
+/// drained into `counters` before it drops.
 fn trigger_satisfied(
     dep: &CompiledDep,
-    fixed: &[(u32, Value)],
+    body_vals: &[Value],
     to: &Instance,
     counters: &mut MatchCounters,
     planned: bool,
 ) -> bool {
+    let constraints = pinned(body_vals);
     dep.disjuncts.iter().any(|pattern| {
-        let constraints = MatchConstraints {
-            fixed: fixed.to_vec(),
-            ..Default::default()
-        };
         let engine = MatchEngine::new(pattern, to, &constraints).with_planning(planned);
         let sat = engine.exists();
         counters.merge(&engine.counters());
@@ -156,48 +156,6 @@ fn probe_hint(n_triggers: usize, planned: bool) -> CostHint {
         return CostHint::none();
     }
     CostHint::per_item_ns((n_triggers as u64).saturating_mul(2_000))
-}
-
-/// Add the facts of disjunct `di` of `dep` instantiated by `fixed`,
-/// minting fresh nulls for the disjunct's existential variables.
-fn apply_disjunct(
-    dep: &CompiledDep,
-    di: usize,
-    fixed: &[(u32, Value)],
-    to: &Instance,
-    next_null: u64,
-) -> (Instance, u64) {
-    let pattern = &dep.disjuncts[di];
-    let mut out = to.clone();
-    let mut next = next_null;
-    let mut exist_vals: Vec<Option<Value>> = vec![None; pattern.nvars];
-    for fact in &pattern.facts {
-        let args: Vec<Value> = fact
-            .args
-            .iter()
-            .map(|term| match *term {
-                PatTerm::Value(v) => v,
-                PatTerm::Var(i) => {
-                    if (i as usize) < dep.n_body {
-                        fixed
-                            .iter()
-                            .find(|(var, _)| *var == i)
-                            .expect("body variable bound by trigger")
-                            .1
-                    } else {
-                        *exist_vals[i as usize].get_or_insert_with(|| {
-                            let v = Value::null(next);
-                            next += 1;
-                            v
-                        })
-                    }
-                }
-            })
-            .collect();
-        out.insert(fact.rel, args)
-            .expect("disjunct arity validated at construction");
-    }
-    (out, next)
 }
 
 /// Run the disjunctive chase of `(from, to0)` with `deps`; returns the
@@ -283,9 +241,7 @@ pub fn disjunctive_chase_with_stats(
         for assignment in engine.all() {
             triggers.push(Trigger {
                 dep: di,
-                fixed: (0..dep.n_body as u32)
-                    .map(|i| (i, assignment.value(i)))
-                    .collect(),
+                body_vals: values_of(&assignment, dep.n_body),
             });
         }
         premise_counters.merge(&engine.counters());
@@ -297,7 +253,6 @@ pub fn disjunctive_chase_with_stats(
     )];
     let naive = matches!(options.strategy, ChaseStrategy::Naive);
     let budget = &options.exec.budget;
-    let limited = !budget.is_unlimited();
     // On budget exhaustion, the settled leaves are a sound partial
     // result: each is a genuine leaf of the full chase tree.
     let settled = |frontier: &[Node]| -> ChasePartial {
@@ -318,10 +273,8 @@ pub fn disjunctive_chase_with_stats(
     loop {
         // Per-wave budget check: a combinatorial tree spends its life in
         // this loop, so the wave boundary is where exhaustion surfaces.
-        if limited {
-            if let Err(e) = budget.check() {
-                return Err(ChaseError::resource(e, stats, settled(&frontier)));
-            }
+        if let Err(e) = budget.check() {
+            return Err(ChaseError::resource(e, stats, settled(&frontier)));
         }
         // Snapshot the open nodes of this wave.
         let open: Vec<(&Instance, usize)> = frontier
@@ -354,7 +307,7 @@ pub fn disjunctive_chase_with_stats(
                 let from_idx = if naive { 0 } else { start };
                 let mut counters = MatchCounters::default();
                 let found = triggers[from_idx..].iter().position(|t| {
-                    !trigger_satisfied(&compiled[t.dep], &t.fixed, to, &mut counters, planned)
+                    !trigger_satisfied(&compiled[t.dep], &t.body_vals, to, &mut counters, planned)
                 });
                 let probed = match found {
                     Some(k) => k as u64 + 1,
@@ -385,10 +338,11 @@ pub fn disjunctive_chase_with_stats(
                             let t = &triggers[ti];
                             let dep = &compiled[t.dep];
                             stats.triggers_fired += 1;
-                            for di in 0..dep.disjuncts.len() {
-                                let (child, next) =
-                                    apply_disjunct(dep, di, &t.fixed, &to, next_null);
-                                budget.charge_facts((child.fact_count() - to.fact_count()) as u64);
+                            for disjunct in &dep.disjuncts {
+                                let (mut child, mut next) = (to.clone(), next_null);
+                                let added =
+                                    fire(disjunct, &t.body_vals, &mut child, &mut next, None);
+                                budget.charge_facts(added as u64);
                                 // The applied disjunct satisfies trigger
                                 // `ti` in every child; the child's probe
                                 // resumes right after it.

@@ -6,37 +6,19 @@
 //! in `Const`) and the inequalities, and is discharged by *some* disjunct
 //! having an extension (Definition 6.2's homomorphism semantics).
 
-use qi_lang::{compile_atoms, DisjTgd, Tgd, Var};
-use qi_schema::{Instance, MatchConstraints, MatchEngine, Pattern, Value};
+use crate::disjunctive;
+use crate::kernel::{compile, pinned, values_of};
+use qi_lang::{DisjTgd, Tgd};
+use qi_schema::{Instance, MatchConstraints, MatchEngine};
 
 /// Does the pair `(source, target)` satisfy the s-t tgd?
 pub fn satisfies_tgd(source: &Instance, target: &Instance, tgd: &Tgd) -> bool {
-    let mut vars: Vec<Var> = Vec::new();
-    let body_facts = compile_atoms(&tgd.body, &mut vars);
-    let n_body = vars.len();
-    let head_facts = compile_atoms(&tgd.head, &mut vars);
-    let body = Pattern {
-        facts: body_facts,
-        nvars: n_body,
-    };
-    let head = Pattern {
-        facts: head_facts,
-        nvars: vars.len(),
-    };
+    let c = compile(tgd);
     let mut ok = true;
-    MatchEngine::new(&body, source, &MatchConstraints::default()).for_each(|assignment| {
-        let fixed: Vec<(u32, Value)> = (0..n_body as u32)
-            .map(|i| (i, assignment.value(i)))
-            .collect();
-        let constraints = MatchConstraints {
-            fixed,
-            ..Default::default()
-        };
-        if !MatchEngine::new(&head, target, &constraints).exists() {
-            ok = false;
-            return false; // stop enumeration
-        }
-        true
+    MatchEngine::new(&c.body, source, &MatchConstraints::default()).for_each(|assignment| {
+        let constraints = pinned(&values_of(assignment, c.n_body_vars));
+        ok = MatchEngine::new(&c.head, target, &constraints).exists();
+        ok // stop enumeration at the first violation
     });
     ok
 }
@@ -51,63 +33,17 @@ pub fn satisfies_all_tgds(source: &Instance, target: &Instance, tgds: &[Tgd]) ->
 /// disjunct side; in the paper's use `from` is a target instance and
 /// `to` a source instance.)
 pub fn satisfies_disj_tgd(from: &Instance, to: &Instance, dep: &DisjTgd) -> bool {
-    let mut vars: Vec<Var> = Vec::new();
-    let body_facts = compile_atoms(&dep.body, &mut vars);
-    let n_body = vars.len();
-    let body = Pattern {
-        facts: body_facts,
-        nvars: n_body,
-    };
-    let var_idx = |v: &Var| -> u32 {
-        vars.iter()
-            .position(|w| w == v)
-            .expect("guard variables occur in the body (validated)") as u32
-    };
-    let body_constraints = MatchConstraints {
-        constants_only: dep.constant.iter().map(&var_idx).collect(),
-        distinct: dep
-            .neq
-            .iter()
-            .map(|(a, b)| (var_idx(a), var_idx(b)))
-            .collect(),
-        ..Default::default()
-    };
-    // Pre-compile each disjunct over an extended ordering: body vars keep
-    // their indexes, each disjunct appends its own existential variables.
-    let disjunct_patterns: Vec<(Pattern, usize)> = dep
-        .disjuncts
-        .iter()
-        .map(|d| {
-            let mut dvars = vars[..n_body].to_vec();
-            let facts = compile_atoms(&d.atoms, &mut dvars);
-            (
-                Pattern {
-                    facts,
-                    nvars: dvars.len(),
-                },
-                n_body,
-            )
-        })
-        .collect();
+    let c = disjunctive::compile(dep);
     let mut ok = true;
-    MatchEngine::new(&body, from, &body_constraints).for_each(|assignment| {
+    MatchEngine::new(&c.body, from, &c.body_constraints).for_each(|assignment| {
         // One constraint set per premise match, shared by every disjunct
-        // probe — the fixed slots are identical across disjuncts, so
-        // rebuilding (and re-cloning) them per disjunct was pure waste.
-        let constraints = MatchConstraints {
-            fixed: (0..n_body as u32)
-                .map(|i| (i, assignment.value(i)))
-                .collect(),
-            ..Default::default()
-        };
-        let satisfied = disjunct_patterns
+        // probe.
+        let constraints = pinned(&values_of(assignment, c.n_body));
+        ok = c
+            .disjuncts
             .iter()
-            .any(|(pattern, _)| MatchEngine::new(pattern, to, &constraints).exists());
-        if !satisfied {
-            ok = false;
-            return false;
-        }
-        true
+            .any(|pattern| MatchEngine::new(pattern, to, &constraints).exists());
+        ok
     });
     ok
 }

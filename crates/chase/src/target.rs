@@ -17,19 +17,15 @@
 //!   (hit only by non-weakly-acyclic inputs).
 
 use crate::delta::SupportLog;
-use crate::error::{ChaseError, ChasePartial};
-use crate::standard::{
-    absorb_match_counters, body_fact_keys, chase_with_options, compile, enumeration_hint, fire,
-    fire_collect, head_satisfied, ChaseOptions, ChaseOutcome, CompiledTgd,
-};
+use crate::error::ChaseError;
+use crate::kernel::{absorb_match_counters, tripped, Kernel, Scan};
+use crate::standard::{chase_with_options, ChaseOptions};
 use crate::strategy::ChaseStrategy;
 use qi_analyze::DependencyGraph;
-use qi_exec::{par_map_budgeted_hinted, Exceeded, ExecConfig, ExecStats};
+use qi_exec::{ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, Egd, Tgd, Var};
-use qi_schema::{
-    planning_enabled_for, Instance, MatchConstraints, MatchEngine, Pattern, Schema, Value,
-};
-use std::collections::{BTreeSet, HashMap};
+use qi_schema::{Instance, MatchConstraints, MatchEngine, Pattern, Schema, Value};
+use std::collections::HashMap;
 
 /// A data-exchange setting `(S, T, Σ_st, Σ_t)` with `Σ_t` split into
 /// target tgds and egds.
@@ -117,68 +113,6 @@ pub fn critical_instance(schema: &Schema) -> Instance {
             .expect("critical fact matches the schema by construction");
     }
     i
-}
-
-/// Enumerate one round's triggers over the round-start snapshot, as a
-/// canonically ordered set of `(tgd index, body-variable values)`.
-///
-/// With `full` unset (semi-naive), each tgd spawns one delta-restricted
-/// enumeration per body atom — a match is found iff some body atom is a
-/// fact of the current delta — and the `BTreeSet` dedups triggers found
-/// through several delta atoms. The set ordering also makes the firing
-/// order independent of how the triggers were discovered, which is what
-/// makes naive and semi-naive rounds byte-identical.
-fn enumerate_round(
-    compiled: &[CompiledTgd],
-    current: &Instance,
-    full: bool,
-    cfg: &RoundsCfg<'_>,
-    exec: &mut ExecStats,
-) -> Result<BTreeSet<(usize, Vec<Value>)>, Exceeded> {
-    let mut tasks: Vec<(usize, Option<usize>)> = Vec::new();
-    for (ti, c) in compiled.iter().enumerate() {
-        if full {
-            tasks.push((ti, None));
-        } else {
-            for atom in 0..c.body.facts.len() {
-                tasks.push((ti, Some(atom)));
-            }
-        }
-    }
-    let constraints = MatchConstraints::default();
-    let planned = cfg.planned;
-    let hint = enumeration_hint(compiled, current, planned);
-    let (results, stats) = par_map_budgeted_hinted(
-        cfg.exec.parallelism,
-        &tasks,
-        &cfg.exec.budget,
-        hint,
-        |&(ti, delta_atom)| {
-            let c = &compiled[ti];
-            let engine = MatchEngine::new(&c.body, current, &constraints)
-                .with_planning(planned)
-                .with_delta_atom(delta_atom);
-            // Planned visit order is safe on this path: the `BTreeSet`
-            // below is the canonical commit barrier that already makes
-            // firing order independent of enumeration order.
-            let matches: Vec<Vec<Value>> = engine
-                .all_unordered()
-                .iter()
-                .map(|a| (0..c.n_body_vars as u32).map(|i| a.value(i)).collect())
-                .collect();
-            (matches, engine.counters())
-        },
-    )?;
-    exec.absorb(&stats);
-    let mut triggers = BTreeSet::new();
-    for ((ti, _), (matches, counters)) in tasks.iter().zip(results) {
-        absorb_match_counters(exec, &counters);
-        exec.triggers_enumerated += matches.len() as u64;
-        for m in matches {
-            triggers.insert((*ti, m));
-        }
-    }
-    Ok(triggers)
 }
 
 /// One egd compiled for matching: the body pattern and the variable
@@ -434,239 +368,177 @@ fn chase_target(
     // The s-t stage inherits the whole execution configuration, so the
     // deadline / caps / planning mode are end-to-end across the
     // exchange.
-    let ChaseOutcome {
-        instance,
-        stats: st_stats,
-        ..
-    } = chase_with_options(
+    let st = chase_with_options(
         &setting.st_tgds,
         source,
         target_schema,
-        ChaseOptions {
-            exec: options.exec.clone(),
-        },
+        ChaseOptions::with_exec(options.exec.clone()),
     )?;
-    let current = instance;
-    let (budget, certified) = derive_step_budget(
-        options.max_steps,
-        options.certificate.as_ref(),
-        &setting.target_tgds,
-        current.active_domain().len(),
-    );
-    let mut next_null = current.fresh_null_floor().max(source.fresh_null_floor());
-    let mut steps = 0usize;
-    let mut exec = st_stats;
-    // Compile every target tgd once; the compiled body/head patterns are
-    // the persistent per-dependency engine state reused by all rounds.
-    let compiled: Vec<CompiledTgd> = setting.target_tgds.iter().map(compile).collect();
-    let cfg = RoundsCfg {
-        compiled: &compiled,
-        egds: &setting.egds,
-        planned: planning_enabled_for(options.exec.planning),
-        exec: options.exec.clone(),
-        naive: matches!(options.strategy, ChaseStrategy::Naive),
-        step_budget: budget,
-        one_at_a_time,
-    };
-    let end = run_rounds(
-        &cfg,
-        current,
-        &mut next_null,
-        &mut steps,
+    Rounds::new(setting, &options, source, &st.instance, one_at_a_time).run(
+        st.instance,
         true,
-        &mut exec,
+        st.stats,
         None,
-    )?;
-    let result = match end {
-        RoundsEnd::Fixpoint(u) => TargetChaseResult::Solution(u),
-        RoundsEnd::EgdConflict { left, right } => TargetChaseResult::Failed { left, right },
-    };
-    Ok((
-        result,
-        TargetChaseStats {
-            steps,
-            budget,
-            certified,
-            exec,
-        },
-    ))
+    )
 }
 
-/// Resolve the step budget of a target chase: explicit `max_steps`
-/// wins, then a caller-provided (possibly refined) certificate, then a
-/// self-derived one, then [`FALLBACK_MAX_STEPS`]. The boolean reports
-/// whether the budget is certificate-backed.
-pub(crate) fn derive_step_budget(
-    max_steps: Option<usize>,
-    certificate: Option<&qi_analyze::TerminationCertificate>,
-    target_tgds: &[qi_lang::Tgd],
-    adom_len: usize,
-) -> (usize, bool) {
-    match (max_steps, certificate) {
-        (Some(n), _) => (n, false),
-        // A caller-provided (possibly refined) certificate wins over the
-        // self-derived one; both bound value growth from the number of
-        // distinct values the target chase starts with.
-        (None, Some(cert)) => (cert.step_budget(adom_len), true),
-        (None, None) => {
-            let graph = DependencyGraph::new(target_tgds);
-            match graph.certificate(target_tgds) {
-                Some(cert) => (cert.step_budget(adom_len), true),
-                None => (FALLBACK_MAX_STEPS, false),
-            }
-        }
-    }
-}
-
-/// The fixed inputs of a target-chase round loop (everything except the
-/// evolving instance and counters).
-pub(crate) struct RoundsCfg<'a> {
-    /// Compiled target tgds, in dependency order.
-    pub(crate) compiled: &'a [CompiledTgd],
-    /// Target egds.
-    pub(crate) egds: &'a [Egd],
-    /// The per-request planning mode of `exec`, resolved once at entry
-    /// (explicit modes never consult the process-wide gate).
-    pub(crate) planned: bool,
-    /// Execution configuration: fan-out for per-round trigger
-    /// enumeration and the cooperative resource budget (checked per
-    /// round and per firing).
-    pub(crate) exec: ExecConfig,
+/// The target stage of an exchange: kernel rounds of the target tgds,
+/// each followed by egd repair, to a fixpoint. `chase_with_target_deps_stats`
+/// runs it from scratch and `qi_chase::chase_delta` as a continuation,
+/// so the two are byte-identical by construction whenever they enter
+/// with the same instance state.
+pub(crate) struct Rounds<'a> {
+    /// The target tgds, compiled once: the persistent per-dependency
+    /// engine state every round reuses.
+    pub(crate) kernel: Kernel,
+    egds: &'a [Egd],
     /// Full re-enumeration every round instead of semi-naive deltas.
-    pub(crate) naive: bool,
+    naive: bool,
     /// Maximum tgd firings + egd repairs (`ChaseError::Budget` beyond).
-    pub(crate) step_budget: usize,
+    step_budget: usize,
+    /// Whether a termination certificate backs `step_budget`.
+    certified: bool,
+    /// The first fresh null: above every null of the source and of the
+    /// s-t output.
+    null_floor: u64,
     /// Repair egds with the one-at-a-time referee loop instead of the
     /// batched passes (see [`chase_with_target_deps_one_at_a_time`]).
-    pub(crate) one_at_a_time: bool,
+    one_at_a_time: bool,
 }
 
-/// How a round loop ended (short of an error).
-pub(crate) enum RoundsEnd {
-    /// No trigger fired and no repair applied: `current` is the
-    /// canonical universal solution.
-    Fixpoint(Instance),
-    /// An egd demanded equality of two distinct constants.
-    EgdConflict {
-        /// Left constant of the violated equality.
-        left: Value,
-        /// Right constant of the violated equality.
-        right: Value,
-    },
-}
-
-/// Run target-tgd + egd rounds to a fixpoint over `current`.
-///
-/// This is the loop both `chase_with_target_deps_stats` (from scratch,
-/// `force_full_first = true`) and `qi_chase::chase_delta` (continuation
-/// seeded by the instance's current delta, `force_full_first = false`)
-/// execute, so the two are byte-identical by construction whenever they
-/// enter with the same instance state.
-///
-/// With `supports` set, every *newly derived* fact records its deriving
-/// trigger's body facts (one derivation per fact — the first), which is
-/// the support graph DRed walks on deletions. Callers only record in
-/// egd-free runs: egd repairs rewrite values wholesale and would
-/// invalidate the recorded facts.
-pub(crate) fn run_rounds(
-    cfg: &RoundsCfg<'_>,
-    mut current: Instance,
-    next_null: &mut u64,
-    steps: &mut usize,
-    force_full_first: bool,
-    exec: &mut ExecStats,
-    mut supports: Option<&mut SupportLog>,
-) -> Result<RoundsEnd, ChaseError> {
-    let limited = !cfg.exec.budget.is_unlimited();
-    let mut force_full = force_full_first;
-    loop {
-        // Per-round budget check: a non-terminating setting spends its
-        // life in this loop, so this is the check that bounds it even if
-        // individual rounds are tiny.
-        if limited {
-            if let Err(e) = cfg.exec.budget.check() {
-                return Err(ChaseError::resource(
-                    e,
-                    exec.clone(),
-                    ChasePartial::Instance(current),
-                ));
-            }
-        }
-        let full = cfg.naive || force_full;
-        if !full {
-            exec.delta_facts += current.delta_len() as u64;
-        }
-        let triggers = match enumerate_round(cfg.compiled, &current, full, cfg, exec) {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(ChaseError::resource(
-                    e,
-                    exec.clone(),
-                    ChasePartial::Instance(current),
-                ))
-            }
+impl<'a> Rounds<'a> {
+    /// The target stage of `setting` under `options`, chasing the s-t
+    /// output `base` of `source`. The step budget is resolved against
+    /// `base`: an explicit
+    /// `max_steps` wins, then a caller-provided (possibly refined)
+    /// certificate, then a self-derived one, then
+    /// [`FALLBACK_MAX_STEPS`]. Certificates bound value growth from the
+    /// number of distinct values the target chase starts with.
+    pub(crate) fn new(
+        setting: &'a ExchangeSetting,
+        options: &TargetChaseOptions,
+        source: &Instance,
+        base: &Instance,
+        one_at_a_time: bool,
+    ) -> Self {
+        let tgds = &setting.target_tgds;
+        let adom_len = base.active_domain().len();
+        let (step_budget, certified) = match (options.max_steps, &options.certificate) {
+            (Some(n), _) => (n, false),
+            (None, Some(cert)) => (cert.step_budget(adom_len), true),
+            (None, None) => match DependencyGraph::new(tgds).certificate(tgds) {
+                Some(cert) => (cert.step_budget(adom_len), true),
+                None => (FALLBACK_MAX_STEPS, false),
+            },
         };
-        exec.rounds += 1;
-        // Facts inserted by this round's firings form the next delta.
-        current.begin_round();
-        let mut fired = 0usize;
-        for (ti, body_vals) in &triggers {
-            // Per-trigger budget check: one round of a wide instance can
-            // fire thousands of triggers, so exhaustion must be able to
-            // surface mid-round.
-            if limited {
-                if let Err(e) = cfg.exec.budget.check() {
-                    exec.triggers_fired += fired as u64;
-                    return Err(ChaseError::resource(
-                        e,
-                        exec.clone(),
-                        ChasePartial::Instance(current),
-                    ));
-                }
-            }
-            let c = &cfg.compiled[*ti];
-            // Restricted chase: fire only when the head has no satisfying
-            // extension in the instance as it stands *now* (earlier
-            // firings of this same round count).
-            if head_satisfied(c, body_vals, &current, exec, cfg.planned) {
-                continue;
-            }
-            let before = current.fact_count();
-            match supports.as_deref_mut() {
-                Some(log) => {
-                    let mut new_facts = Vec::new();
-                    fire_collect(c, body_vals, &mut current, next_null, |f| new_facts.push(f));
-                    let body = body_fact_keys(c, body_vals);
-                    for fact in &new_facts {
-                        log.record(&current, fact, &body);
-                    }
-                }
-                None => fire(c, body_vals, &mut current, next_null),
-            }
-            cfg.exec
+        Rounds {
+            kernel: Kernel::new(tgds, &options.exec),
+            egds: &setting.egds,
+            naive: matches!(options.strategy, ChaseStrategy::Naive),
+            step_budget,
+            certified,
+            null_floor: base.fresh_null_floor().max(source.fresh_null_floor()),
+            one_at_a_time,
+        }
+    }
+
+    /// Is the stage a Datalog program (existential-free tgds, no egds)?
+    /// Then its fixpoint is the unique least fixpoint, which is what
+    /// makes DRed exact, and no egd repair rewrites the facts recorded
+    /// support edges name.
+    pub(crate) fn datalog(&self) -> bool {
+        let compiled = &self.kernel.compiled;
+        self.egds.is_empty() && compiled.iter().all(|c| c.head.nvars == c.n_body_vars)
+    }
+
+    /// Run rounds to a fixpoint over `current`. The first round
+    /// enumerates in full when `force_full` is set; otherwise it
+    /// continues from `current`'s per-round delta. `exec` holds the
+    /// counters of the stages before.
+    ///
+    /// With `supports` set, a Datalog stage records for every *newly
+    /// derived* fact its deriving trigger's body facts (one derivation
+    /// per fact — the first): the support graph DRed walks on
+    /// deletions.
+    pub(crate) fn run(
+        &self,
+        mut current: Instance,
+        mut force_full: bool,
+        mut exec: ExecStats,
+        supports: Option<&mut SupportLog>,
+    ) -> Result<(TargetChaseResult, TargetChaseStats), ChaseError> {
+        let mut supports = supports.filter(|_| self.datalog());
+        let mut next_null = self.null_floor;
+        let mut steps = 0usize;
+        let outcome = loop {
+            // Per-round budget check: a non-terminating setting spends
+            // its life in this loop, so this is the check that bounds it
+            // even if individual rounds are tiny.
+            self.kernel
+                .exec
                 .budget
-                .charge_facts((current.fact_count() - before) as u64);
-            fired += 1;
-        }
-        exec.triggers_fired += fired as u64;
-        let repaired =
-            match repair_egds(cfg.egds, &mut current, exec, cfg.planned, cfg.one_at_a_time) {
-                Ok(n) => n,
-                Err((left, right)) => return Ok(RoundsEnd::EgdConflict { left, right }),
+                .check()
+                .map_err(|e| tripped(e, &exec, Some(&current)))?;
+            let scan = if self.naive || force_full {
+                Scan::Full
+            } else {
+                exec.delta_facts += current.delta_len() as u64;
+                Scan::Delta
             };
-        *steps += fired + repaired;
-        // Later semi-naive rounds only re-enumerate in full after egd
-        // repairs, which rewrite values wholesale and invalidate the
-        // delta.
-        force_full = repaired > 0;
-        if fired == 0 && repaired == 0 {
-            return Ok(RoundsEnd::Fixpoint(current));
-        }
-        if *steps > cfg.step_budget {
-            return Err(ChaseError::Budget {
-                max_nodes: cfg.step_budget,
-            });
-        }
+            let mut triggers = self
+                .kernel
+                .enumerate(&current, scan, &mut exec)
+                .map_err(|e| tripped(e, &exec, Some(&current)))?;
+            // The canonical commit barrier: each tgd's triggers fire
+            // sorted and deduplicated (a semi-naive trigger is found
+            // once per delta atom it uses), so the firing order does not
+            // depend on how the triggers were found. That is what makes
+            // naive and semi-naive rounds, and planned visit orders,
+            // byte-identical.
+            for t in &mut triggers {
+                t.sort_unstable();
+                t.dedup();
+            }
+            let fired = self.kernel.commit(
+                &mut triggers,
+                &mut current,
+                &mut next_null,
+                true,
+                &mut exec,
+                supports.as_deref_mut(),
+            )?;
+            let planned = self.kernel.planned;
+            let repaired = match repair_egds(
+                self.egds,
+                &mut current,
+                &mut exec,
+                planned,
+                self.one_at_a_time,
+            ) {
+                Ok(n) => n,
+                Err((left, right)) => break TargetChaseResult::Failed { left, right },
+            };
+            steps += fired + repaired;
+            if fired == 0 && repaired == 0 {
+                break TargetChaseResult::Solution(current);
+            }
+            if steps > self.step_budget {
+                return Err(ChaseError::Budget {
+                    max_nodes: self.step_budget,
+                });
+            }
+            // Later semi-naive rounds only re-enumerate in full after egd
+            // repairs, which rewrite values wholesale and invalidate the
+            // delta.
+            force_full = repaired > 0;
+        };
+        let stats = TargetChaseStats {
+            steps,
+            budget: self.step_budget,
+            certified: self.certified,
+            exec,
+        };
+        Ok((outcome, stats))
     }
 }
 

@@ -188,9 +188,7 @@ fn serve_ndjson(
                 // The rest of the line is still unread, so the session
                 // cannot resynchronise: answer, then close.
                 metrics.record("decode", false, 0, 0, 0, 0);
-                writer.write_all(too_large().as_bytes())?;
-                writer.write_all(b"\n")?;
-                return writer.flush();
+                return write_line(&mut writer, too_large());
             }
             ReadOutcome::Line => {}
         }
@@ -199,15 +197,22 @@ fn serve_ndjson(
             continue;
         }
         let (response, is_shutdown) = dispatch_line(trimmed, registry, metrics, shutdown);
-        // The response is rendered in full before a single write: a
-        // client never sees a partial line.
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_line(&mut writer, response)?;
         if is_shutdown {
             return Ok(());
         }
     }
+}
+
+/// Send one NDJSON response: the rendered line and its newline in a
+/// single write, so a client never sees a partial line. Writing the
+/// newline separately sends a 1-byte segment that Nagle's algorithm
+/// holds back until the client's delayed ACK — a ~40 ms stall per
+/// request.
+fn write_line(writer: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    writer.write_all(response.as_bytes())?;
+    writer.flush()
 }
 
 enum ReadOutcome {

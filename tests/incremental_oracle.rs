@@ -15,8 +15,9 @@
 //! `PROPTEST_CASES` (the deep push-only CI tier runs 1024).
 
 use quasi_inverse::chase::{
-    chase_delta, chase_incremental, is_universal_solution, ChaseError, ChasePartial, ChaseResult,
-    DeltaChaseOptions, ExchangeSetting, TargetChaseResult,
+    chase_delta, chase_incremental, chase_with_target_deps_stats, is_universal_solution,
+    ChaseError, ChasePartial, ChaseResult, DeltaChaseOptions, ExchangeSetting, TargetChaseOptions,
+    TargetChaseResult, TargetChaseStats,
 };
 use quasi_inverse::exec::{set_hardware_parallelism_override, Budget, ExecConfig, Parallelism};
 use quasi_inverse::lang::{parse_egd, parse_tgd};
@@ -189,19 +190,9 @@ fn closure_streams_match_from_scratch() {
 
 #[test]
 fn existential_st_streams_match_from_scratch() {
-    // LAV-style mapping with existentials and no target dependencies:
-    // exercises the memoized-enumeration s-t replay, where fresh-null
+    // Exercises the memoized-enumeration s-t replay, where fresh-null
     // numbering is part of the render.
-    let s = Schema::parse("R/2").unwrap();
-    let t = Schema::parse("P/2 Q/2").unwrap();
-    let setting = ExchangeSetting {
-        st_tgds: vec![
-            parse_tgd(&s, &t, "R(x,y) -> exists z . P(x,z), Q(z,y)").unwrap(),
-            parse_tgd(&s, &t, "R(x,x) -> P(x,x)").unwrap(),
-        ],
-        target_tgds: vec![],
-        egds: vec![],
-    };
+    let (s, t, setting) = existential_st_setting();
     for seed in 0..cases() {
         let mut r = rng(53_000 + seed);
         let start = random_ground_instance(
@@ -354,10 +345,9 @@ fn existential_datalog_renumbering_seeds_match_from_scratch() {
     }
 }
 
-#[test]
-fn egd_fallback_streams_match_from_scratch() {
-    // Existentials + closure + key egd: the ineligible fallback path
-    // (replayed s-t stage, from-scratch target rounds).
+/// Existentials + closure + key egd: the ineligible fallback path
+/// (replayed s-t stage, from-scratch target rounds).
+fn egd_fallback_setting() -> (Schema, Schema, ExchangeSetting) {
     let s = Schema::parse("EmpSrc/2 Boss/2").unwrap();
     let t = Schema::parse("Emp/2 Reports/2").unwrap();
     let setting = ExchangeSetting {
@@ -370,6 +360,12 @@ fn egd_fallback_streams_match_from_scratch() {
         ],
         egds: vec![parse_egd(&t, "Emp(id,n1) & Emp(id,n2) -> n1 = n2").unwrap()],
     };
+    (s, t, setting)
+}
+
+#[test]
+fn egd_fallback_streams_match_from_scratch() {
+    let (s, t, setting) = egd_fallback_setting();
     let start = Instance::parse(
         &s,
         "EmpSrc(e1,ann) EmpSrc(e2,bo) Boss(e1,e2) Boss(e2,e3) Boss(e3,e4)",
@@ -405,6 +401,93 @@ fn egd_fallback_streams_match_from_scratch() {
         assert!(cur.solution().is_some());
         transcript
     });
+}
+
+/// LAV-style existential s-t tgds and no target dependencies.
+fn existential_st_setting() -> (Schema, Schema, ExchangeSetting) {
+    let s = Schema::parse("R/2").unwrap();
+    let t = Schema::parse("P/2 Q/2").unwrap();
+    let setting = ExchangeSetting {
+        st_tgds: vec![
+            parse_tgd(&s, &t, "R(x,y) -> exists z . P(x,z), Q(z,y)").unwrap(),
+            parse_tgd(&s, &t, "R(x,x) -> P(x,x)").unwrap(),
+        ],
+        target_tgds: vec![],
+        egds: vec![],
+    };
+    (s, t, setting)
+}
+
+/// What the incremental and the plain target chase must agree on: the
+/// solution (or the `Failed` pair), `steps`, and the round and trigger
+/// counters.
+fn staged(outcome: &TargetChaseResult, stats: &TargetChaseStats) -> String {
+    let sol = match outcome {
+        TargetChaseResult::Solution(u) => format!("{u}"),
+        TargetChaseResult::Failed { left, right } => format!("failed {left} {right}"),
+    };
+    let exec = &stats.exec;
+    format!(
+        "sol={sol}\nsteps={} rounds={} enumerated={} fired={}",
+        stats.steps, exec.rounds, exec.triggers_enumerated, exec.triggers_fired
+    )
+}
+
+#[test]
+fn incremental_and_target_chase_stage_identically() {
+    // `chase_incremental` and `chase_with_target_deps_stats` run the
+    // same s-t and target stages; recording the memo only observes.
+    let settings = [
+        ("closure", closure_setting()),
+        ("existential s-t", existential_st_setting()),
+        ("keyless exchange", keyless_exchange_setting()),
+        ("egd fallback", egd_fallback_setting()),
+    ];
+    // Which (setting, failed?) outcomes the random sources reached.
+    let mut reached = std::collections::BTreeSet::new();
+    for (name, (s, t, setting)) in &settings {
+        for seed in 0..cases() {
+            let mut r = rng(61_000 + seed);
+            let source = random_ground_instance(
+                s,
+                &mut r,
+                &InstanceParams {
+                    n_consts: 5,
+                    n_facts: 12,
+                },
+            );
+            let ctx = format!("{name}, seed {seed}");
+            sweep_grid(&ctx, |par| {
+                let recorded = chase_incremental(setting, &source, t, &opts(par)).unwrap();
+                let unrecorded = DeltaChaseOptions {
+                    record: false,
+                    ..opts(par)
+                };
+                let unrecorded = chase_incremental(setting, &source, t, &unrecorded).unwrap();
+                let options = TargetChaseOptions {
+                    exec: ExecConfig::default().with_parallelism(par),
+                    ..Default::default()
+                };
+                let (outcome, stats) =
+                    chase_with_target_deps_stats(setting, &source, t, options).unwrap();
+                let failed = matches!(outcome, TargetChaseResult::Failed { .. });
+                reached.insert((*name, failed));
+                let expected = staged(&outcome, &stats);
+                for (label, run) in [("recorded", &recorded), ("unrecorded", &unrecorded)] {
+                    assert_eq!(
+                        staged(&run.outcome, &run.stats),
+                        expected,
+                        "{ctx}: {label} incremental run"
+                    );
+                }
+                assert_eq!(render(&recorded), render(&unrecorded), "{ctx}: base");
+                format!("{}\n{expected}", render(&recorded))
+            });
+        }
+    }
+    // The egd setting covers both the solution and the `Failed` pair.
+    assert!(reached.contains(&("egd fallback", true)), "{reached:?}");
+    assert!(reached.contains(&("egd fallback", false)), "{reached:?}");
 }
 
 #[test]

@@ -291,6 +291,31 @@ fn oversized_line_without_newline_gets_a_too_large_error() {
 }
 
 #[test]
+fn sequential_requests_on_one_connection_are_not_delayed() {
+    // Each NDJSON response must leave in one write. A response sent as
+    // the line and then a separate 1-byte newline stalls every request
+    // of a request–response loop behind Nagle's algorithm and the
+    // client's delayed ACK (about 40 ms each, ~2 s for 50 requests).
+    let server = start("127.0.0.1:0", |_| {}).expect("server binds");
+    let (mut stream, mut reader) = connect(server.addr());
+    let start = std::time::Instant::now();
+    for i in 0..50 {
+        let resp = roundtrip(
+            &mut stream,
+            &mut reader,
+            &format!(r#"{{"op":"list","id":"r{i}"}}"#),
+        );
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential list requests took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_request_drains_and_closes_the_listener() {
     let server = start("127.0.0.1:0", |_| {}).expect("server binds");
     let addr = server.addr();
