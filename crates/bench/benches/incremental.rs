@@ -18,6 +18,7 @@ use qi_chase::{
     chase_delta, chase_incremental, ChaseResult, DeltaChaseOptions, ExchangeSetting,
     TargetChaseResult,
 };
+use qi_exec::ExecStats;
 use qi_lang::parse_tgd;
 use qi_schema::{Diff, Instance, Schema};
 use qi_workloads::random::{random_ground_instance, rng, InstanceParams};
@@ -67,7 +68,8 @@ fn run_series(series: &str, make_diff: impl Fn(usize) -> Diff) {
 
 /// Time one `chase_delta` of `diff` from the memo `prev` against a
 /// from-scratch `chase_incremental` of the updated source, after
-/// byte-comparing the two, and emit the record.
+/// byte-comparing the two, and emit the record. Returns the delta's
+/// counters.
 fn time_point(
     series: &str,
     param: usize,
@@ -75,7 +77,7 @@ fn time_point(
     t: &Schema,
     prev: &ChaseResult,
     diff: &Diff,
-) {
+) -> ExecStats {
     let opts = DeltaChaseOptions::default();
     let mut updated = prev.source.clone();
     diff.apply(&mut updated).unwrap();
@@ -99,11 +101,14 @@ fn time_point(
         .int("delta_facts_in", e.delta_facts_in)
         .int("facts_deleted", e.facts_deleted)
         .int("facts_rederived", e.facts_rederived)
+        .int("triggers_fired", e.triggers_fired)
+        .int("workers", e.workers as u64)
         .num("scratch_ns", scratch.mean_ns())
         .num("delta_ns", delta.mean_ns())
         .num("speedup", scratch.mean_ns() / delta.mean_ns())
         .sample(delta)
         .emit();
+    delta_once.stats.exec
 }
 
 /// The keyless `exchange` setting: existential s-t tgds, then a join
@@ -152,7 +157,16 @@ fn run_existential_series() {
             },
         )
         .remove(0);
-        time_point("existential", param, &setting, &t, &prev, &diff);
+        let e = time_point("existential", param, &setting, &t, &prev, &diff);
+        // The s-t stage patches the previous base: an update fires the
+        // triggers its diff adds or re-decides (and the continuation's),
+        // never the ~1000 surviving s-t triggers again.
+        assert!(
+            e.triggers_fired * 10 < FACTS as u64,
+            "existential param={param}: {} triggers fired for {} changes",
+            e.triggers_fired,
+            diff.len()
+        );
     }
 }
 

@@ -7,14 +7,16 @@
 //! * [`Kernel::commit`] fires an ordered trigger stream sequentially —
 //!   budget checkpoint, optional restricted-chase head check, [`fire`],
 //!   fact charge — and counts the round and its firings.
-//! * [`fire`] instantiates one head pattern under a trigger's body
-//!   values, minting fresh nulls for the remaining variables. The
-//!   disjunctive chase fires its disjuncts through it as well.
+//! * [`fire`] inserts one head pattern [`instantiate`]d under a
+//!   trigger's body values, minting fresh nulls for the remaining
+//!   variables. The disjunctive chase fires its disjuncts through it as
+//!   well.
 //!
 //! The callers decide the trigger order: the s-t chase commits in the
-//! engine's enumeration order, target rounds in canonical (sorted,
-//! deduplicated) order, and the incremental s-t replay in the merged
-//! from-scratch order.
+//! engine's enumeration order and target rounds in canonical (sorted,
+//! deduplicated) order. The incremental s-t stage commits nothing: it
+//! patches the previous base, instantiating and head-checking only the
+//! triggers its diff adds or re-decides.
 
 use crate::delta::SupportLog;
 use crate::error::{ChaseError, ChasePartial};
@@ -22,7 +24,7 @@ use qi_exec::{par_map_budgeted_hinted, CostHint, Exceeded, ExecConfig, ExecStats
 use qi_lang::{compile_atoms, Tgd, Var};
 use qi_schema::{
     plan_pattern, planning_enabled_for, Assignment, Instance, MatchConstraints, MatchCounters,
-    MatchEngine, PatTerm, Pattern, Value,
+    MatchEngine, PatTerm, Pattern, RelId, Value,
 };
 
 /// Compiled form of one tgd: body and head patterns built once and
@@ -62,25 +64,49 @@ pub(crate) fn compile(tgd: &Tgd) -> CompiledTgd {
 /// Only used for morsel sizing — never for correctness.
 const NS_PER_EST_UNIT: u64 = 500;
 
-/// Per-task [`CostHint`] for a trigger-enumeration fan-out over
-/// `compiled` bodies: the mean planned cost estimate against `instance`,
-/// converted to nanoseconds. No hint when planning is disabled (the
-/// *resolved* per-request mode, not the process global), so the
-/// unplanned path keeps the historical scheduling exactly.
-fn enumeration_hint(compiled: &[CompiledTgd], instance: &Instance, planned: bool) -> CostHint {
-    if compiled.is_empty() || !planned {
+/// Per-task [`CostHint`] for a trigger-enumeration fan-out: the mean
+/// planned cost estimate of the `(tgd, delta atom)` tasks against
+/// `instance`, converted to nanoseconds. A task with a delta atom scans
+/// that atom's per-round delta, not its relation, so it is priced at the
+/// delta's share of its tgd's full enumeration: a scan over a handful of
+/// new facts stays on one worker while a large delta still fans out.
+/// No hint when planning is disabled (the *resolved* per-request mode,
+/// not the process global), so the unplanned path keeps the historical
+/// scheduling exactly.
+fn enumeration_hint(
+    compiled: &[CompiledTgd],
+    tasks: &[(usize, Option<usize>)],
+    instance: &Instance,
+    planned: bool,
+) -> CostHint {
+    if tasks.is_empty() || !planned {
         return CostHint::none();
     }
-    let total: u64 = compiled
+    let store = instance.store();
+    let full: Vec<u64> = compiled
         .iter()
         .map(|c| {
             let prebound = vec![false; c.body.nvars];
-            plan_pattern(&c.body, instance.store(), None, None, &prebound)
+            plan_pattern(&c.body, store, None, None, &prebound)
                 .est_cost
                 .max(1)
         })
+        .collect();
+    let total: u64 = tasks
+        .iter()
+        .map(|&(ti, delta_atom)| {
+            let Some(atom) = delta_atom else {
+                return full[ti];
+            };
+            let rel = compiled[ti].body.facts[atom].rel.index();
+            if rel >= store.num_rels() {
+                return 0;
+            }
+            let delta = store.delta_ids(rel).len() as u64;
+            full[ti].saturating_mul(delta) / (store.rel_len(rel) as u64).max(1)
+        })
         .fold(0u64, u64::saturating_add);
-    let mean = (total / compiled.len() as u64).max(1);
+    let mean = (total / tasks.len() as u64).max(1);
     CostHint::per_item_ns(mean.saturating_mul(NS_PER_EST_UNIT))
 }
 
@@ -163,22 +189,18 @@ pub(crate) fn body_fact_keys(c: &CompiledTgd, body_vals: &[Value]) -> Vec<FactKe
         .collect()
 }
 
-/// Instantiate and insert `head` for one trigger: variables below
-/// `body_vals.len()` take the trigger's values, every other variable one
-/// fresh null from `next_null` on, shared across the head atoms. Each
-/// newly inserted fact is pushed to `new_facts` when given; returns how
-/// many facts were new.
-pub(crate) fn fire(
-    head: &Pattern,
-    body_vals: &[Value],
-    target: &mut Instance,
-    next_null: &mut u64,
-    mut new_facts: Option<&mut Vec<FactKey>>,
-) -> usize {
+/// Instantiate `head` for one trigger: variables below `body_vals.len()`
+/// take the trigger's values, every other variable one fresh null from
+/// `next_null` on (in order of first occurrence), shared across the
+/// head atoms.
+pub(crate) fn instantiate<'a>(
+    head: &'a Pattern,
+    body_vals: &'a [Value],
+    next_null: &'a mut u64,
+) -> impl Iterator<Item = (RelId, Vec<Value>)> + 'a {
     let mut exist_vals: Vec<Option<Value>> = vec![None; head.nvars];
-    let mut added = 0;
-    for fact in &head.facts {
-        let args: Vec<Value> = fact
+    head.facts.iter().map(move |fact| {
+        let args = fact
             .args
             .iter()
             .map(|term| match *term {
@@ -193,11 +215,25 @@ pub(crate) fn fire(
                 },
             })
             .collect();
-        let key = new_facts
-            .is_some()
-            .then(|| (fact.rel.index(), args.clone()));
+        (fact.rel, args)
+    })
+}
+
+/// [`instantiate`] `head` for one trigger and insert its facts. Each
+/// newly inserted fact is pushed to `new_facts` when given; returns how
+/// many facts were new.
+pub(crate) fn fire(
+    head: &Pattern,
+    body_vals: &[Value],
+    target: &mut Instance,
+    next_null: &mut u64,
+    mut new_facts: Option<&mut Vec<FactKey>>,
+) -> usize {
+    let mut added = 0;
+    for (rel, args) in instantiate(head, body_vals, next_null) {
+        let key = new_facts.is_some().then(|| (rel.index(), args.clone()));
         if target
-            .insert(fact.rel, args)
+            .insert(rel, args)
             .expect("head arity validated at construction")
         {
             added += 1;
@@ -230,20 +266,22 @@ pub(crate) fn fire_tgd(
     added
 }
 
-/// One trigger of a tgd: its body-variable values and the first fresh
-/// null its firing minted (`None` when the restricted check skipped it
-/// or its tgd has no existential variables). A firing mints its tgd's
-/// existential nulls consecutively, so the first one names them all.
-/// Triggers of one tgd order by their body values.
+/// One trigger of a tgd: its body-variable values, whether it fired,
+/// and the first fresh null its firing minted (`None` when the
+/// restricted check skipped it or its tgd has no existential
+/// variables). A firing mints its tgd's existential nulls
+/// consecutively, so the first one names them all. Triggers of one tgd
+/// order by their body values.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Trigger {
     pub(crate) body_vals: Vec<Value>,
+    pub(crate) fired: bool,
     pub(crate) minted: Option<u64>,
 }
 
 /// Per-tgd trigger streams, each in firing order. The s-t chase keeps
-/// its stream as the memo an incremental re-chase replays instead of
-/// re-enumerating old triggers.
+/// its stream, decisions included, as the memo an incremental re-chase
+/// patches instead of re-enumerating and re-committing old triggers.
 pub(crate) type TriggerLog = Vec<Vec<Trigger>>;
 
 /// How [`Kernel::enumerate`] scans the tgd bodies.
@@ -297,7 +335,7 @@ impl Kernel {
             }
         }
         let constraints = MatchConstraints::default();
-        let hint = enumeration_hint(&self.compiled, over, self.planned);
+        let hint = enumeration_hint(&self.compiled, &tasks, over, self.planned);
         let (results, par) = par_map_budgeted_hinted(
             self.exec.parallelism,
             &tasks,
@@ -316,6 +354,7 @@ impl Kernel {
                     .iter()
                     .map(|a| Trigger {
                         body_vals: values_of(a, c.n_body_vars),
+                        fired: false,
                         minted: None,
                     })
                     .collect();
@@ -363,7 +402,9 @@ impl Kernel {
                     return Err(tripped(e, stats, Some(target)));
                 }
                 t.minted = None;
-                if restricted && head_satisfied(c, &t.body_vals, target, stats, self.planned) {
+                t.fired =
+                    !restricted || !head_satisfied(c, &t.body_vals, target, stats, self.planned);
+                if !t.fired {
                     continue;
                 }
                 if existential {

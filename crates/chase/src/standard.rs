@@ -86,10 +86,10 @@ fn check_schemas(tgds: &[Tgd], source: &Instance, target: &Schema) -> Result<(),
 /// over the source (an immutable snapshot, so in parallel), then commit
 /// them in (tgd, enumeration) order into an empty target — the order
 /// the sequential chase fires in. When `log` is set, the full per-tgd
-/// enumeration (pre-satisfaction-check, with each trigger's minted null)
-/// is recorded into it, so a later `chase_delta` can merge new
-/// delta-restricted triggers into the same order without re-running the
-/// old joins.
+/// enumeration (pre-satisfaction-check, with each trigger's decision
+/// and minted null) is recorded into it, so a later `chase_delta` can
+/// merge new delta-restricted triggers into the same order without
+/// re-running the old joins or re-taking the old decisions.
 pub(crate) fn run_st(
     tgds: &[Tgd],
     source: &Instance,

@@ -183,6 +183,11 @@ impl RelStore {
     }
 }
 
+/// Does `tuple` hold no null?
+fn is_ground(tuple: &[Value]) -> bool {
+    tuple.iter().all(|v| v.is_const())
+}
+
 /// Cached derived value, invalidated by the store generation.
 type Cached<T> = Mutex<Option<(u64, Arc<T>)>>;
 
@@ -247,9 +252,10 @@ impl FactStore {
     /// The caller (i.e. [`crate::Instance`]) is responsible for arity
     /// checking.
     pub fn insert(&mut self, rel: usize, tuple: Vec<Value>) -> bool {
+        let ground = is_ground(&tuple);
         let added = self.rels[rel].insert(tuple);
         if added {
-            self.generation += 1;
+            self.bump(ground);
         }
         added
     }
@@ -263,9 +269,24 @@ impl FactStore {
     pub fn remove(&mut self, rel: usize, tuple: &[Value]) -> bool {
         let removed = self.rels[rel].remove(tuple);
         if removed {
-            self.generation += 1;
+            self.bump(is_ground(tuple));
         }
         removed
+    }
+
+    /// Advance the generation after a mutation. A ground tuple leaves
+    /// the set of nulls as it was, so a null-set cache that was current
+    /// stays current: a ground update keeps `nulls()` (and so every
+    /// fresh-null floor) free of a whole-store scan.
+    fn bump(&mut self, ground: bool) {
+        let before = self.generation;
+        self.generation += 1;
+        if ground {
+            let cache = self.nulls_cache.get_mut().expect("cache lock");
+            if let Some((gen, _)) = cache.as_mut().filter(|(gen, _)| *gen == before) {
+                *gen = self.generation;
+            }
+        }
     }
 
     /// Does relation `rel` contain `tuple`?

@@ -19,7 +19,9 @@ use quasi_inverse::chase::{
     ChaseError, ChasePartial, ChaseResult, DeltaChaseOptions, ExchangeSetting, TargetChaseOptions,
     TargetChaseResult, TargetChaseStats,
 };
-use quasi_inverse::exec::{set_hardware_parallelism_override, Budget, ExecConfig, Parallelism};
+use quasi_inverse::exec::{
+    set_hardware_parallelism_override, Budget, ExecConfig, Parallelism, Planning,
+};
 use quasi_inverse::lang::{parse_egd, parse_tgd};
 use quasi_inverse::schema::{
     core_delta, core_of, set_planning_override, Diff, HomCache, Instance, Schema,
@@ -343,6 +345,150 @@ fn existential_datalog_renumbering_seeds_match_from_scratch() {
             replay_and_check(&setting, &t, &start, &stream, par, name)
         });
     }
+}
+
+/// Two s-t tgds whose heads share `R`, so a trigger of the second can be
+/// satisfied by the first's facts, over a Datalog target.
+fn shared_head_setting() -> (Schema, Schema, ExchangeSetting) {
+    let s = Schema::parse("A/2 B/1 C/1").unwrap();
+    let t = Schema::parse("R/2 S/1 T/1").unwrap();
+    let setting = ExchangeSetting {
+        st_tgds: vec![
+            parse_tgd(&s, &t, "A(x,y) -> R(x,y)").unwrap(),
+            parse_tgd(&s, &t, "B(x) -> exists z . R(x,z) & S(z)").unwrap(),
+            parse_tgd(&s, &t, "C(x) -> exists z . R(x,z)").unwrap(),
+        ],
+        target_tgds: vec![parse_tgd(&t, &t, "R(x,y) -> T(x)").unwrap()],
+        egds: vec![],
+    };
+    (s, t, setting)
+}
+
+#[test]
+fn st_decision_flips_match_from_scratch() {
+    // Each stream changes the restricted check's answer for a trigger
+    // the update does not touch: the s-t patch must re-decide exactly
+    // those, against the base as it stands at their place in the stream.
+    let (s, t, setting) = keyless_exchange_setting();
+    // Constants order by first interning: fix the order of this test's
+    // own names before any instance mentions them.
+    for name in ["ya", "yb", "yc", "yd1", "yd2", "yk0", "yk1", "yk2", "yk3"] {
+        quasi_inverse::schema::Value::constant(name);
+    }
+    let cases: [(&str, &str, &[&str]); 4] = [
+        (
+            // Emp(ya,yd1,yk0) sorts before the surviving Emp(ya,yd1,yk1):
+            // the survivor flips from fire to skip, and back.
+            "inserted trigger ahead of a survivor's duplicate",
+            "Emp(ya,yd1,yk1) Emp(yb,yd1,yk1) Emp(yc,yd2,yk2) Mgr(yb,ya) Mgr(yc,yb)",
+            &[
+                "+ Emp(ya,yd1,yk0)",
+                "- Emp(ya,yd1,yk0)",
+                "+ Emp(ya,yd1,yk0)\n- Emp(yc,yd2,yk2)",
+            ],
+        ),
+        (
+            // The trigger that satisfied a later duplicate goes: the
+            // duplicate flips from skip to fire.
+            "deleted satisfier of a later duplicate",
+            "Emp(ya,yd1,yk1) Emp(ya,yd1,yk2) Emp(yb,yd2,yk1) Mgr(ya,yb)",
+            &[
+                "- Emp(ya,yd1,yk1)",
+                "+ Emp(ya,yd1,yk1)",
+                "- Emp(ya,yd1,yk2)",
+            ],
+        ),
+        (
+            // Three duplicates: the second fires in the first's place and
+            // the third must see the second's facts to stay skipped.
+            "two-step cascade",
+            "Emp(ya,yd1,yk1) Emp(ya,yd1,yk2) Emp(ya,yd1,yk3) Emp(yb,yd1,yk1) Mgr(yb,ya)",
+            &[
+                "- Emp(ya,yd1,yk1)",
+                "- Emp(ya,yd1,yk2)",
+                "+ Emp(ya,yd1,yk0) Emp(ya,yd1,yk1)",
+                "- Emp(ya,yd1,yk0) Emp(ya,yd1,yk3)",
+            ],
+        ),
+        (
+            // Labeled nulls in the source: constants sort before nulls,
+            // and N9 lies above the first run's fresh-null floor, so it
+            // shares its id with a null that run minted.
+            "source with labeled nulls",
+            "Emp(ya,yd1,N4) Emp(yb,N2,yk1) Emp(yb,N2,yk2) Mgr(ya,N6)",
+            &[
+                "- Emp(yb,N2,yk1)",
+                "+ Emp(ya,yd1,yk1)",
+                "+ Emp(yc,yd1,N9) Emp(yc,yd1,yk3)",
+                "- Emp(ya,yd1,yk1) Emp(yb,N2,yk2)",
+            ],
+        ),
+    ];
+    for (name, start, diffs) in cases {
+        let start = Instance::parse(&s, start).unwrap();
+        let stream: Vec<Diff> = diffs.iter().map(|d| Diff::parse(&s, d).unwrap()).collect();
+        sweep_grid(name, |par| {
+            replay_and_check(&setting, &t, &start, &stream, par, name)
+        });
+    }
+    // A witness supplied across tgds: `B(x)` and `C(x)` are satisfied by
+    // `R` facts of the first tgd, or of an earlier trigger of another.
+    let (s, t, setting) = shared_head_setting();
+    let start = Instance::parse(&s, "A(ya,yb) B(ya) C(ya) B(yc) C(yc) A(yd1,yd2)").unwrap();
+    let stream: Vec<Diff> = [
+        "- A(ya,yb)",
+        "+ A(ya,yc)",
+        "+ A(yc,yd1)\n- B(ya)",
+        "- A(ya,yc) A(yc,yd1)\n+ C(yd1)",
+        "+ B(ya)\n- A(yd1,yd2)",
+    ]
+    .iter()
+    .map(|d| Diff::parse(&s, d).unwrap())
+    .collect();
+    sweep_grid("witness across tgds", |par| {
+        replay_and_check(&setting, &t, &start, &stream, par, "witness across tgds")
+    });
+}
+
+#[test]
+fn delta_scans_fan_out_by_delta_size() {
+    // A delta scan is priced by the facts it pins, not by its tgd's full
+    // enumeration: a one-fact update stays on one worker, while a
+    // several-hundred-fact update still fans out, rendering the same.
+    let _guard = PLAN_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    set_hardware_parallelism_override(Some(8));
+    let (s, t, setting) = keyless_exchange_setting();
+    let start = random_ground_instance(
+        &s,
+        &mut rng(1),
+        &InstanceParams {
+            n_consts: 250,
+            n_facts: 1000,
+        },
+    );
+    let at = |threads: usize| DeltaChaseOptions {
+        exec: ExecConfig::default()
+            .with_parallelism(Parallelism::fixed(threads))
+            .with_planning(Planning::On),
+        ..Default::default()
+    };
+    let prev = chase_incremental(&setting, &start, &t, &at(2)).unwrap();
+    let one = Diff::parse(&s, "+ Emp(zn0,zd0,zc0)").unwrap();
+    let wide: Vec<String> = (0..300)
+        .map(|i| format!("+ Emp(zn{i},zd{},zc0) Mgr(zn{i},zn{})", i % 40, i + 1))
+        .collect();
+    let wide = Diff::parse(&s, &wide.join("\n")).unwrap();
+    for (diff, workers) in [(&one, 1), (&wide, 2)] {
+        let next = chase_delta(&prev, diff, &at(2)).unwrap();
+        let sequential = chase_delta(&prev, diff, &at(1)).unwrap();
+        assert_eq!(next.stats.exec.workers, workers, "{} changes", diff.len());
+        assert_eq!(render(&next), render(&sequential), "{} changes", diff.len());
+        let mut updated = start.clone();
+        diff.apply(&mut updated).unwrap();
+        let scratch = chase_incremental(&setting, &updated, &t, &at(2)).unwrap();
+        assert_eq!(render(&next), render(&scratch), "{} changes", diff.len());
+    }
+    set_hardware_parallelism_override(None);
 }
 
 /// Existentials + closure + key egd: the ineligible fallback path
