@@ -70,6 +70,7 @@ use crate::standard::{run_st, ChaseOptions};
 use crate::target::{
     ExchangeSetting, Rounds, TargetChaseOptions, TargetChaseResult, TargetChaseStats,
 };
+use qi_analyze::{DependencyGraph, TerminationCertificate};
 use qi_exec::{ExecConfig, ExecStats};
 use qi_schema::{
     Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, NullId, PatFact, PatTerm, RelId,
@@ -100,12 +101,16 @@ fn fact_id(solution: &Instance, (rel, t): &FactKey) -> FactId {
 /// directions are kept in step on every record and forget, so a delta
 /// never rebuilds the index. Facts are ids of the solution store the
 /// log belongs to.
+///
+/// Bodies and dependent lists are shared, so a clone copies no list:
+/// a body is replaced whole, and a dependent list is copied on its
+/// first write.
 #[derive(Clone, Debug, Default)]
 pub struct SupportLog {
     /// derived fact → body facts of its recorded deriving trigger.
-    derived: BTreeMap<FactId, Vec<FactId>>,
+    derived: BTreeMap<FactId, Arc<[FactId]>>,
     /// body fact → derived facts whose recorded derivation uses it.
-    dependents: BTreeMap<FactId, Vec<FactId>>,
+    dependents: BTreeMap<FactId, Arc<Vec<FactId>>>,
 }
 
 impl SupportLog {
@@ -123,10 +128,10 @@ impl SupportLog {
     /// `solution`, replacing any earlier record.
     pub(crate) fn record(&mut self, solution: &Instance, fact: &FactKey, body: &[FactKey]) {
         let fact = fact_id(solution, fact);
-        let body: Vec<FactId> = body.iter().map(|b| fact_id(solution, b)).collect();
+        let body: Arc<[FactId]> = body.iter().map(|b| fact_id(solution, b)).collect();
         self.forget(fact);
-        for &b in &body {
-            self.dependents.entry(b).or_default().push(fact);
+        for &b in body.iter() {
+            Arc::make_mut(self.dependents.entry(b).or_default()).push(fact);
         }
         self.derived.insert(fact, body);
     }
@@ -136,11 +141,12 @@ impl SupportLog {
         let Some(body) = self.derived.remove(&fact) else {
             return;
         };
-        for b in body {
-            if let Some(ds) = self.dependents.get_mut(&b) {
+        for b in body.iter() {
+            if let Some(ds) = self.dependents.get_mut(b) {
+                let ds = Arc::make_mut(ds);
                 ds.retain(|&d| d != fact);
                 if ds.is_empty() {
-                    self.dependents.remove(&b);
+                    self.dependents.remove(b);
                 }
             }
         }
@@ -148,14 +154,42 @@ impl SupportLog {
 
     /// The derived facts whose recorded derivation uses `body_fact`.
     fn dependents(&self, body_fact: FactId) -> &[FactId] {
-        self.dependents.get(&body_fact).map_or(&[], Vec::as_slice)
+        self.dependents
+            .get(&body_fact)
+            .map_or(&[], |ds| ds.as_slice())
+    }
+
+    /// The log after its solution lost the facts `dropped`. Their
+    /// records vanish with them. A kept fact whose recorded body lost a
+    /// fact keeps the rest of its body and is returned as an
+    /// over-deletion seed, in id order: its only recorded derivation is
+    /// gone. The work is on the dropped facts and their neighbours only.
+    fn without(&self, dropped: &[FactId]) -> (SupportLog, Vec<FactId>) {
+        let mut log = self.clone();
+        let mut seeds = Vec::new();
+        for &f in dropped {
+            log.forget(f);
+            let Some(ds) = log.dependents.remove(&f) else {
+                continue;
+            };
+            for &d in ds.iter() {
+                if let Some(body) = log.derived.get_mut(&d) {
+                    *body = body.iter().copied().filter(|&b| b != f).collect();
+                    seeds.push(d);
+                }
+            }
+        }
+        seeds.sort_unstable();
+        seeds.dedup();
+        // A dependent dropped after it was trimmed is no seed.
+        seeds.retain(|d| log.derived.contains_key(d));
+        (log, seeds)
     }
 
     /// The log restricted to the facts `live` keeps, in one pass over
-    /// both maps. Records of dropped facts vanish with them. A kept fact
-    /// whose recorded body lost a fact keeps the rest of its body and is
-    /// returned as an over-deletion seed: its only recorded derivation
-    /// is gone.
+    /// both maps: the whole-log referee [`SupportLog::without`] is
+    /// tested against.
+    #[cfg(test)]
     fn restricted(&self, live: impl Fn(FactId) -> bool) -> (SupportLog, Vec<FactId>) {
         let mut seeds = Vec::new();
         let derived = self
@@ -163,7 +197,7 @@ impl SupportLog {
             .iter()
             .filter(|(&d, _)| live(d))
             .map(|(&d, body)| {
-                let kept: Vec<FactId> = body.iter().copied().filter(|&b| live(b)).collect();
+                let kept: Arc<[FactId]> = body.iter().copied().filter(|&b| live(b)).collect();
                 if kept.len() < body.len() {
                     seeds.push(d);
                 }
@@ -176,7 +210,7 @@ impl SupportLog {
             .filter(|(&b, _)| live(b))
             .filter_map(|(&b, ds)| {
                 let ds: Vec<FactId> = ds.iter().copied().filter(|&d| live(d)).collect();
-                (!ds.is_empty()).then_some((b, ds))
+                (!ds.is_empty()).then(|| (b, Arc::new(ds)))
             })
             .collect();
         (
@@ -274,10 +308,13 @@ impl Default for DeltaChaseOptions {
 
 impl DeltaChaseOptions {
     /// The target-stage options of an incremental run: this execution
-    /// configuration, the default step budget and strategy.
-    fn target(&self) -> TargetChaseOptions {
+    /// configuration, the default strategy, and the step budget the
+    /// target tgds' termination `certificate` derives — the one a
+    /// from-scratch run derives itself.
+    fn target(&self, certificate: Option<TerminationCertificate>) -> TargetChaseOptions {
         TargetChaseOptions {
             exec: self.exec.clone(),
+            certificate,
             ..Default::default()
         }
     }
@@ -294,6 +331,11 @@ struct Memo {
     producers: Producers,
     /// Target-stage support edges (Datalog-eligible settings only).
     supports: SupportLog,
+    /// The target tgds' termination certificate. It depends on the
+    /// setting only, so a delta reuses it. Without one (target tgds that
+    /// are not weakly acyclic, hence existential, so a delta re-runs the
+    /// whole target stage anyway) the budget is the fallback constant.
+    certificate: Option<TerminationCertificate>,
 }
 
 /// A chase result that can be maintained incrementally: the inputs, the
@@ -354,7 +396,10 @@ pub fn chase_incremental(
         opts.record.then_some(&mut st_log),
     )?;
     let mut supports = SupportLog::default();
-    let staged = Rounds::new(setting, &opts.target(), source, &st.instance, false).run(
+    let tgds = &setting.target_tgds;
+    let certificate = DependencyGraph::new(tgds).certificate(tgds);
+    let target_opts = opts.target(certificate.clone());
+    let staged = Rounds::new(setting, &target_opts, source, &st.instance, false).run(
         st.instance.clone(),
         true,
         st.stats,
@@ -370,6 +415,7 @@ pub fn chase_incremental(
         st_log,
         producers,
         supports,
+        certificate,
     };
     Ok(finish(
         setting,
@@ -462,15 +508,13 @@ pub fn chase_delta(
     } = patch;
 
     // ---- target stage ----
-    let rounds = Rounds::new(setting, &opts.target(), &source, &base_new, false);
+    let target_opts = opts.target(memo.certificate.clone());
+    let rounds = Rounds::new(setting, &target_opts, &source, &base_new, false);
     let (staged, supports) = if rounds.datalog() && opts.record {
-        // Rename the previous solution into the new run's null
-        // namespace; tuple ids survive, so the support log only drops
-        // the dead ones. From here on DRed sees only the real change.
-        let mut working = prev_solution.rename_nulls(|n| rho.null(n));
+        // From here on DRed sees only the real change.
+        let (mut working, mut supports, mut seeds) =
+            rename_solution(prev_solution, &memo.supports, &rho);
         exec.facts_deleted += (prev_solution.fact_count() - working.fact_count()) as u64;
-        let live = |(rel, id): FactId| working.store().live_tuple(rel as usize, id).is_some();
-        let (mut supports, mut seeds) = memo.supports.restricted(live);
         // Base facts that survive the renaming but not the update.
         for &(rel, id) in &removed {
             let fact = prev.base.store().tuple(rel as usize, id);
@@ -513,10 +557,30 @@ pub fn chase_delta(
         st_log,
         producers,
         supports,
+        certificate: memo.certificate.clone(),
     };
     let mut next = finish(setting, source, base_new, staged, opts, memo);
     evict_cache(opts, prev, &mut next);
     Ok(next)
+}
+
+/// The previous solution renamed into the new run's null namespace
+/// through `rho`, with its support log patched to match. Tuple ids
+/// survive the rename, so the log changes only around the facts it
+/// drops (those holding a dead null): their records go, and a fact
+/// whose recorded body lost one comes back as an over-deletion seed.
+fn rename_solution(
+    solution: &Instance,
+    supports: &SupportLog,
+    rho: &NullRenaming,
+) -> (Instance, SupportLog, Vec<FactId>) {
+    let (working, dropped) = solution.rename_nulls(|n| rho.null(n));
+    let dropped: Vec<FactId> = dropped
+        .into_iter()
+        .map(|(rel, id)| (rel as u32, id))
+        .collect();
+    let (supports, seeds) = supports.without(&dropped);
+    (working, supports, seeds)
 }
 
 /// Position of an s-t trigger: its tgd and its index in that tgd's
@@ -702,6 +766,8 @@ struct StPatch<'a> {
     added: BTreeMap<FactKey, Pos>,
     /// Per tgd: the body assignments a changed fact reaches.
     reach: Vec<Patterns>,
+    /// Scratch instance of the restricted checks, empty between them.
+    view: Instance,
     next_null: u64,
     fired: u64,
 }
@@ -725,6 +791,7 @@ impl<'a> StPatch<'a> {
                 .iter()
                 .map(|_| Patterns::default())
                 .collect(),
+            view: Instance::new(prev.base.schema().clone()),
             next_null: new_floor,
             fired: 0,
         }
@@ -1057,16 +1124,17 @@ impl<'a> StPatch<'a> {
     /// The restricted check at `here`: does the head of `c` under
     /// `body_vals` have an extension in the base as it stands before
     /// `here`? Only facts that unify with a head atom's pinned positions
-    /// can take part, so the check runs on a view of just those.
+    /// can take part, so the check runs on a view of just those; one
+    /// view serves every check of the walk.
     fn satisfied(
-        &self,
+        &mut self,
         c: &CompiledTgd,
         body_vals: &[Value],
         here: Here,
         exec: &mut ExecStats,
     ) -> bool {
         let prev = self.prev;
-        let mut view = Instance::new(prev.schema().clone());
+        let mut facts: Vec<Fact> = Vec::new();
         for atom in &c.head.facts {
             let rel = atom.rel.index();
             let pinned = atom.args.iter().enumerate().find_map(|(pos, t)| match *t {
@@ -1086,7 +1154,7 @@ impl<'a> StPatch<'a> {
             for id in ids {
                 if self.producer((rel as u32, id), here) == Producer::Before {
                     let args = self.translate(prev.store().tuple(rel, id));
-                    view.insert(atom.rel, args).expect("same schema");
+                    facts.push(Fact::new(atom.rel, args));
                 }
             }
             for ((_, args), _) in self
@@ -1094,10 +1162,20 @@ impl<'a> StPatch<'a> {
                 .range((rel, Vec::new())..(rel + 1, Vec::new()))
                 .filter(|(_, &p)| p < here.new)
             {
-                view.insert(atom.rel, args.clone()).expect("same schema");
+                facts.push(Fact::new(atom.rel, args.clone()));
             }
         }
-        head_satisfied(c, body_vals, &view, exec, self.kernel.planned)
+        // The view is empty between checks: fill it, check, empty it.
+        for f in &facts {
+            self.view
+                .insert(f.rel, f.args.clone())
+                .expect("same schema");
+        }
+        let sat = head_satisfied(c, body_vals, &self.view, exec, self.kernel.planned);
+        for f in &facts {
+            self.view.remove_fact(f);
+        }
+        sat
     }
 
     /// Build the new base: the previous one renamed through ρ, minus the
@@ -1112,7 +1190,7 @@ impl<'a> StPatch<'a> {
             added: new_facts,
             ..
         } = self;
-        let mut base = prev.rename_nulls(|n| rho.null(n));
+        let (mut base, _) = prev.rename_nulls(|n| rho.null(n));
         let mut removed: Vec<FactId> = moved
             .iter()
             .filter(|(_, p)| p.is_none())
@@ -1121,7 +1199,7 @@ impl<'a> StPatch<'a> {
         removed.sort_unstable();
         for &(rel, id) in &removed {
             if let Some(t) = base.store().live_tuple(rel as usize, id) {
-                let fact = Fact::new(RelId(rel), t.clone());
+                let fact = Fact::new(RelId(rel), t.to_vec());
                 base.remove_fact(&fact);
             }
         }
@@ -1188,7 +1266,7 @@ fn dred_over_delete(
         done.insert(f);
         let rel = f.0 as usize;
         if let Some(t) = working.store().live_tuple(rel, f.1) {
-            let key = (rel, t.clone());
+            let key = (rel, t.to_vec());
             working.remove_fact(&key_fact(&key));
             exec.facts_deleted += 1;
             deleted.insert(key);
@@ -1392,28 +1470,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mid_stream_diff_deletes_on_the_order_of_the_diff() {
-        // The keyless exchange shape: every Emp trigger mints a null, so
-        // a diff in the middle of the trigger order shifts every later
-        // null by one. The null renaming absorbs the shift: DRed sees
-        // only the facts that really changed. The s-t patch fires only
-        // the triggers the diff adds or re-decides, not the 80 survivors,
-        // so the whole update fires on the order of the diff.
+    /// The keyless exchange shape: every `Emp` trigger mints a null.
+    /// With `staffed`, a projection `Staffed(d)` of `Dept(d,m)` joins
+    /// the target: a derived fact without nulls whose recorded body fact
+    /// holds an s-t null, so removing an `Emp` makes the rename drop a
+    /// body fact and keep its dependent.
+    fn keyless_exchange(staffed: bool) -> (Schema, Schema, ExchangeSetting) {
         let s = Schema::parse("Emp/3 Mgr/2").unwrap();
-        let t = Schema::parse("Works/2 Dept/2 Boss/2 Reach/2").unwrap();
+        let rels = "Works/2 Dept/2 Boss/2 Reach/2";
+        let t = Schema::parse(&if staffed {
+            format!("{rels} Staffed/1")
+        } else {
+            rels.to_owned()
+        })
+        .unwrap();
+        let mut target_tgds = vec![
+            parse_tgd(&t, &t, "Works(n,d) & Dept(d,m) -> Boss(n,m)").unwrap(),
+            parse_tgd(&t, &t, "Boss(x,y) & Boss(y,z) -> Reach(x,z)").unwrap(),
+        ];
+        if staffed {
+            target_tgds.push(parse_tgd(&t, &t, "Dept(d,m) -> Staffed(d)").unwrap());
+        }
         let setting = ExchangeSetting {
             st_tgds: vec![
                 parse_tgd(&s, &t, "Emp(n,d,c) -> exists m . Works(n,d) & Dept(d,m)").unwrap(),
                 parse_tgd(&s, &t, "Mgr(a,b) -> Boss(a,b)").unwrap(),
             ],
-            target_tgds: vec![
-                parse_tgd(&t, &t, "Works(n,d) & Dept(d,m) -> Boss(n,m)").unwrap(),
-                parse_tgd(&t, &t, "Boss(x,y) & Boss(y,z) -> Reach(x,z)").unwrap(),
-            ],
+            target_tgds,
             egds: vec![],
         };
-        // Constants are interned (and so ordered) in loop order.
+        (s, t, setting)
+    }
+
+    /// Forty employees, one department each, in a manager chain.
+    /// Constants are interned (and so ordered) in loop order.
+    fn mid_stream_source(s: &Schema) -> Instance {
         let facts: Vec<String> = (0..40)
             .flat_map(|i| {
                 [
@@ -1422,16 +1513,31 @@ mod tests {
                 ]
             })
             .collect();
-        let source = Instance::parse(&s, &facts.join(" ")).unwrap();
+        Instance::parse(s, &facts.join(" ")).unwrap()
+    }
+
+    /// Diffs in the middle of the mid-stream source's trigger order.
+    const MID_STREAM_DIFFS: [&str; 3] = [
+        "- Emp(mx20,md20,mc)",
+        "+ Emp(mx20,md20b,mc)",
+        "- Emp(mx20,md20,mc)\n+ Emp(mx20,md20b,mc)",
+    ];
+
+    #[test]
+    fn mid_stream_diff_deletes_on_the_order_of_the_diff() {
+        // The keyless exchange shape: every Emp trigger mints a null, so
+        // a diff in the middle of the trigger order shifts every later
+        // null by one. The null renaming absorbs the shift: DRed sees
+        // only the facts that really changed. The s-t patch fires only
+        // the triggers the diff adds or re-decides, not the 80 survivors,
+        // so the whole update fires on the order of the diff.
+        let (s, t, setting) = keyless_exchange(false);
+        let source = mid_stream_source(&s);
         let opts = DeltaChaseOptions::default();
         let prev = chase_incremental(&setting, &source, &t, &opts).unwrap();
         let size = prev.solution().unwrap().fact_count();
         assert!(size > 200, "solution of {size} facts");
-        for (text, max_deleted) in [
-            ("- Emp(mx20,md20,mc)", 4),
-            ("+ Emp(mx20,md20b,mc)", 0),
-            ("- Emp(mx20,md20,mc)\n+ Emp(mx20,md20b,mc)", 4),
-        ] {
+        for (text, max_deleted) in MID_STREAM_DIFFS.into_iter().zip([4, 0, 4]) {
             let diff = Diff::parse(&s, text).unwrap();
             let next = chase_delta(&prev, &diff, &opts).unwrap();
             let mut updated = source.clone();
@@ -1477,6 +1583,128 @@ mod tests {
         let next2 = chase_delta(&next, &diff2, &opts).unwrap();
         assert!(next2.solution().is_none());
         assert!(!next2.has_memo());
+    }
+
+    /// Twelve employees over five departments, in a manager chain: a
+    /// department keeps `Staffed` while another employee staffs it.
+    fn staffed_source(s: &Schema) -> Instance {
+        let facts: Vec<String> = (0..12)
+            .flat_map(|i| {
+                [
+                    format!("Emp(sx{i},sd{},sc)", i % 5),
+                    format!("Mgr(sx{i},sx{})", i + 1),
+                ]
+            })
+            .collect();
+        Instance::parse(s, &facts.join(" ")).unwrap()
+    }
+
+    #[test]
+    fn patched_support_log_equals_the_restricted_referee() {
+        // Replay the s-t patch of each update in a chained stream, then
+        // patch the support log around the facts the solution rename
+        // drops; the whole-log filter must agree on the log and seeds.
+        let (s, t, setting) = keyless_exchange(true);
+        let source = staffed_source(&s);
+        let (ms, mt, mid) = keyless_exchange(false);
+        let mid_source = mid_stream_source(&ms);
+        let streams: [(&Schema, &Schema, &ExchangeSetting, &Instance, &[&str]); 2] = [
+            (
+                &s,
+                &t,
+                &setting,
+                &source,
+                &[
+                    "- Emp(sx3,sd3,sc)",
+                    "- Emp(sx8,sd3,sc)",
+                    "+ Emp(sx3,sd3,sc)",
+                    "- Emp(sx0,sd0,sc) Emp(sx5,sd0,sc)\n+ Emp(sx0,sd9,sc)",
+                    "- Mgr(sx4,sx5) Emp(sx4,sd4,sc)",
+                ],
+            ),
+            (&ms, &mt, &mid, &mid_source, &MID_STREAM_DIFFS),
+        ];
+        let opts = DeltaChaseOptions::default();
+        let mut trimmed = 0;
+        for (s, t, setting, source, diffs) in streams {
+            let mut cur = chase_incremental(setting, source, t, &opts).unwrap();
+            for text in diffs {
+                let diff = Diff::parse(s, text).unwrap();
+                let memo = cur.memo.as_ref().unwrap();
+                let mut updated = cur.source.clone();
+                updated.begin_round();
+                diff.apply(&mut updated).unwrap();
+                let mut exec = ExecStats::default();
+                let st = Kernel::new(&setting.st_tgds, &opts.exec);
+                let fresh = st.enumerate(&updated, Scan::Delta, &mut exec).unwrap();
+                let patch = StPatch::new(&st, &cur, memo, &updated)
+                    .run(fresh, &diff.removed, &mut exec)
+                    .unwrap();
+                let solution = cur.solution().unwrap();
+                let (working, patched, seeds) =
+                    rename_solution(solution, &memo.supports, &patch.rho);
+                let live =
+                    |(rel, id): FactId| working.store().live_tuple(rel as usize, id).is_some();
+                let (referee, referee_seeds) = memo.supports.restricted(live);
+                assert_eq!(patched.derived, referee.derived, "after `{text}`");
+                assert_eq!(patched.dependents, referee.dependents, "after `{text}`");
+                assert_eq!(seeds, referee_seeds, "seeds after `{text}`");
+                trimmed += seeds.len();
+                cur = chase_delta(&cur, &diff, &opts).unwrap();
+            }
+        }
+        // The streams exercise the trim: some kept fact lost a body fact.
+        assert!(trimmed > 0);
+    }
+
+    #[test]
+    fn delta_step_budget_matches_from_scratch() {
+        let (cs, ct, closure) = closure_setting();
+        let closure_source = Instance::parse(&cs, "E(a,b) E(b,c) E(c,d)").unwrap();
+        let (ss, st, staffed) = keyless_exchange(true);
+        let staffed_start = staffed_source(&ss);
+        let es = Schema::parse("Emp/2").unwrap();
+        let et = Schema::parse("Dept/2 Audit/2").unwrap();
+        let egd = ExchangeSetting {
+            st_tgds: vec![parse_tgd(&es, &et, "Emp(e,d) -> Dept(d,e)").unwrap()],
+            target_tgds: vec![parse_tgd(&et, &et, "Dept(d,m) -> exists q . Audit(m,q)").unwrap()],
+            egds: vec![parse_egd(&et, "Dept(d,m), Dept(d,n) -> m = n").unwrap()],
+        };
+        let egd_source = Instance::parse(&es, "Emp(a,d1) Emp(b,d2)").unwrap();
+        let opts = DeltaChaseOptions::default();
+        for (s, t, setting, source, diffs) in [
+            (
+                &cs,
+                &ct,
+                &closure,
+                &closure_source,
+                &["+ E(d,e) E(e,f)", "- E(a,b) E(b,c)"][..],
+            ),
+            (
+                &ss,
+                &st,
+                &staffed,
+                &staffed_start,
+                &["- Emp(sx3,sd3,sc)", "+ Emp(sx20,sd20,sc)"],
+            ),
+            (&es, &et, &egd, &egd_source, &["+ Emp(c,d3)", "- Emp(a,d1)"]),
+        ] {
+            let mut cur = chase_incremental(setting, source, t, &opts).unwrap();
+            let mut inst = source.clone();
+            for text in diffs {
+                let diff = Diff::parse(s, text).unwrap();
+                cur = chase_delta(&cur, &diff, &opts).unwrap();
+                diff.apply(&mut inst).unwrap();
+                let scratch = chase_incremental(setting, &inst, t, &opts).unwrap();
+                assert_eq!(render(&cur), render(&scratch), "after `{text}`");
+                assert!(cur.stats.certified, "after `{text}`");
+                assert_eq!(
+                    (cur.stats.budget, cur.stats.certified),
+                    (scratch.stats.budget, scratch.stats.certified),
+                    "after `{text}`"
+                );
+            }
+        }
     }
 
     #[test]

@@ -639,12 +639,7 @@ impl<'a> MatchEngine<'a> {
     /// position is bound; posting lists are in canonical tuple order, so
     /// the result (set *and* order) equals a filtered scan of the
     /// relation. Falls back to scanning only when no position is bound.
-    fn candidates(
-        &self,
-        fact_idx: usize,
-        assignment: &Assignment,
-        cap: usize,
-    ) -> Vec<&'a Vec<Value>> {
+    fn candidates(&self, fact_idx: usize, assignment: &Assignment, cap: usize) -> Vec<&'a [Value]> {
         let fact = &self.pattern.facts[fact_idx];
         let store = self.target.store();
         let rel = fact.rel.index();

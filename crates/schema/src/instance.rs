@@ -19,7 +19,7 @@
 use crate::error::SchemaError;
 use crate::fact::Fact;
 use crate::schema::{RelId, Schema};
-use crate::store::FactStore;
+use crate::store::{FactStore, TupleId};
 use crate::value::{NullId, Value};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -120,7 +120,7 @@ impl Instance {
     }
 
     /// The tuples of one relation, in deterministic order.
-    pub fn tuples(&self, rel: RelId) -> impl Iterator<Item = &Vec<Value>> + '_ {
+    pub fn tuples(&self, rel: RelId) -> impl Iterator<Item = &[Value]> + '_ {
         self.store.tuples(rel.index())
     }
 
@@ -134,7 +134,7 @@ impl Instance {
         self.schema.rel_ids().flat_map(move |rel| {
             self.store
                 .tuples(rel.index())
-                .map(move |t| Fact::new(rel, t.clone()))
+                .map(move |t| Fact::new(rel, t.to_vec()))
         })
     }
 
@@ -203,7 +203,7 @@ impl Instance {
         let mut out = self.clone();
         for rel in self.schema.rel_ids() {
             for t in other.tuples(rel) {
-                out.store.insert(rel.index(), t.clone());
+                out.store.insert(rel.index(), t.to_vec());
             }
         }
         Ok(out)
@@ -241,14 +241,20 @@ impl Instance {
     }
 
     /// Rename nulls through `rho`, dropping every fact that mentions a
-    /// null `rho` leaves unmapped. `rho` must be strictly increasing on
-    /// the nulls it maps; then the renamed store is built in one pass
-    /// without re-sorting (see [`FactStore::rename_nulls`]).
-    pub fn rename_nulls(&self, rho: impl Fn(NullId) -> Option<NullId>) -> Instance {
-        Instance {
+    /// null `rho` leaves unmapped; also returns the `(relation index,
+    /// tuple id)` of each dropped fact. `rho` must be strictly increasing
+    /// on the nulls it maps; then the copy rewrites only the facts `rho`
+    /// moves and shares the rest (see [`FactStore::rename_nulls`]).
+    pub fn rename_nulls(
+        &self,
+        rho: impl Fn(NullId) -> Option<NullId>,
+    ) -> (Instance, Vec<(usize, TupleId)>) {
+        let (store, dropped) = self.store.rename_nulls(rho);
+        let renamed = Instance {
             schema: self.schema.clone(),
-            store: self.store.rename_nulls(rho),
-        }
+            store,
+        };
+        (renamed, dropped)
     }
 
     /// Parse an instance literal (see module docs for the format).

@@ -106,15 +106,22 @@ impl Bloom {
     }
 }
 
+/// A stored tuple. The arena and the canonical index hold the same
+/// allocation, and so do the copies of a store: cloning a store or
+/// renaming it copies pointers, not tuples. `Arc<[Value]>` orders like
+/// `[Value]` and borrows as one, so lookups by `&[Value]` need no
+/// conversion, and a read is one pointer hop from the arena.
+type Tuple = Arc<[Value]>;
+
 /// Storage of a single relation: arena + canonical index + postings +
 /// delta.
 #[derive(Clone, Debug, Default)]
 struct RelStore {
     /// Append-only tuple arena; `None` marks a removed tuple (removal is
     /// rare — core computation and egd repair only).
-    arena: Vec<Option<Vec<Value>>>,
+    arena: Vec<Option<Tuple>>,
     /// Canonical index: tuple → arena id, iterated in tuple order.
-    sorted: BTreeMap<Vec<Value>, TupleId>,
+    sorted: BTreeMap<Tuple, TupleId>,
     /// `postings[pos][value]` = ids of live tuples whose `pos`-th
     /// component is `value`, kept sorted by tuple order.
     postings: Vec<HashMap<Value, Vec<TupleId>>>,
@@ -136,17 +143,18 @@ impl RelStore {
         }
     }
 
-    fn tuple(&self, id: TupleId) -> &Vec<Value> {
+    fn tuple(&self, id: TupleId) -> &[Value] {
         self.arena[id as usize].as_ref().expect("live tuple id")
     }
 
     fn insert(&mut self, tuple: Vec<Value>) -> bool {
-        if self.sorted.contains_key(&tuple) {
+        if self.sorted.contains_key(tuple.as_slice()) {
             return false;
         }
+        let tuple: Tuple = tuple.into();
         let id = TupleId::try_from(self.arena.len()).expect("tuple arena overflow");
         let arena = &self.arena;
-        let by_tuple = |probe: &TupleId| arena[*probe as usize].as_ref().expect("live") < &tuple;
+        let by_tuple = |probe: &TupleId| **arena[*probe as usize].as_ref().expect("live") < *tuple;
         for (pos, map) in self.postings.iter_mut().enumerate() {
             let list = map.entry(tuple[pos]).or_default();
             let at = list.partition_point(by_tuple);
@@ -157,7 +165,7 @@ impl RelStore {
         }
         let at = self.delta.partition_point(by_tuple);
         self.delta.insert(at, id);
-        self.sorted.insert(tuple.clone(), id);
+        self.sorted.insert(Arc::clone(&tuple), id);
         self.arena.push(Some(tuple));
         true
     }
@@ -166,6 +174,15 @@ impl RelStore {
         let Some(id) = self.sorted.remove(tuple) else {
             return false;
         };
+        self.unpost(id, tuple);
+        self.delta.retain(|&t| t != id);
+        self.arena[id as usize] = None;
+        true
+    }
+
+    /// Take tuple `id`, whose values are `tuple`, out of the postings
+    /// and blooms.
+    fn unpost(&mut self, id: TupleId, tuple: &[Value]) {
         for (pos, map) in self.postings.iter_mut().enumerate() {
             if let Some(list) = map.get_mut(&tuple[pos]) {
                 list.retain(|&t| t != id);
@@ -177,9 +194,90 @@ impl RelStore {
         for (pos, bloom) in self.blooms.iter_mut().enumerate() {
             bloom.sub(tuple[pos]);
         }
-        self.delta.retain(|&t| t != id);
-        self.arena[id as usize] = None;
-        true
+    }
+
+    /// A copy of the relation with its nulls renamed through `rho` (see
+    /// [`FactStore::rename_nulls`]), and the ids of the tuples it drops.
+    ///
+    /// Only what `rho` moves is rewritten. A tuple `rho` fixes keeps its
+    /// allocation; a tuple with a moved null gets a new one. Postings and
+    /// blooms start as copies of the old ones: the posting entries of
+    /// moved nulls are re-keyed whole (all lifted out before any goes
+    /// back, since a null may move onto the old id of another moved
+    /// null), dropped ids leave their lists, and bloom counters change
+    /// only for changed values. `rho` is strictly increasing, so every
+    /// list keeps its order.
+    fn rename_nulls(&self, rho: &impl Fn(NullId) -> Option<NullId>) -> (RelStore, Vec<TupleId>) {
+        let mut out = RelStore {
+            arena: vec![None; self.arena.len()],
+            sorted: BTreeMap::new(),
+            postings: self.postings.clone(),
+            delta: Vec::new(),
+            blooms: self.blooms.clone(),
+        };
+        let mut sorted: Vec<(Tuple, TupleId)> = Vec::with_capacity(self.sorted.len());
+        // Per position: the nulls whose posting entries are re-keyed.
+        let mut moved: Vec<Vec<NullId>> = vec![Vec::new(); self.postings.len()];
+        let mut dropped = Vec::new();
+        'tuples: for (t, &id) in &self.sorted {
+            let mut fixed = true;
+            for &v in t.iter() {
+                let Value::Null(n) = v else { continue };
+                match rho(n) {
+                    None => {
+                        dropped.push(id);
+                        continue 'tuples;
+                    }
+                    Some(m) => fixed &= m == n,
+                }
+            }
+            let t: Tuple = if fixed {
+                Arc::clone(t)
+            } else {
+                let renamed: Tuple = t
+                    .iter()
+                    .map(|&v| match v {
+                        Value::Null(n) => Value::Null(rho(n).expect("checked live")),
+                        c => c,
+                    })
+                    .collect();
+                for (pos, (&old, &new)) in t.iter().zip(renamed.iter()).enumerate() {
+                    if old != new {
+                        out.blooms[pos].sub(old);
+                        out.blooms[pos].add(new);
+                        if let Value::Null(n) = old {
+                            moved[pos].push(n);
+                        }
+                    }
+                }
+                renamed
+            };
+            out.arena[id as usize] = Some(Arc::clone(&t));
+            sorted.push((t, id));
+        }
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0].0 < w[1].0),
+            "a null renaming must be strictly increasing"
+        );
+        out.sorted = sorted.into_iter().collect();
+        for &id in &dropped {
+            out.unpost(id, self.tuple(id));
+        }
+        for (pos, nulls) in moved.iter_mut().enumerate() {
+            nulls.sort_unstable();
+            nulls.dedup();
+            let map = &mut out.postings[pos];
+            let lifted: Vec<(NullId, Vec<TupleId>)> = nulls
+                .iter()
+                .filter_map(|&n| map.remove(&Value::Null(n)).map(|list| (n, list)))
+                .collect();
+            for (n, list) in lifted {
+                let m = rho(n).expect("a moved null is live");
+                let clash = map.insert(Value::Null(m), list);
+                debug_assert!(clash.is_none(), "a null renaming must be injective");
+            }
+        }
+        (out, dropped)
     }
 }
 
@@ -295,8 +393,8 @@ impl FactStore {
     }
 
     /// The tuples of relation `rel` in canonical (lexicographic) order.
-    pub fn tuples(&self, rel: usize) -> impl Iterator<Item = &Vec<Value>> + '_ {
-        self.rels[rel].sorted.keys()
+    pub fn tuples(&self, rel: usize) -> impl Iterator<Item = &[Value]> + '_ {
+        self.rels[rel].sorted.keys().map(|t| &**t)
     }
 
     /// Number of tuples in relation `rel`.
@@ -320,7 +418,7 @@ impl FactStore {
     }
 
     /// The tuple behind an id from a posting or delta list.
-    pub fn tuple(&self, rel: usize, id: TupleId) -> &Vec<Value> {
+    pub fn tuple(&self, rel: usize, id: TupleId) -> &[Value] {
         self.rels[rel].tuple(id)
     }
 
@@ -375,53 +473,37 @@ impl FactStore {
         self.rels.iter().map(|r| r.delta.len()).sum()
     }
 
-    /// A copy of the store with every null renamed through `rho`, built
-    /// in one linear pass without re-sorting. Tuples that mention a null
-    /// `rho` leaves unmapped are dropped; every other tuple keeps its
-    /// [`TupleId`], so id-keyed side tables stay valid across the rename.
+    /// A copy of the store with every null renamed through `rho`, and
+    /// the ids of the tuples the copy drops: those that mention a null
+    /// `rho` leaves unmapped. Every other tuple keeps its [`TupleId`], so
+    /// id-keyed side tables stay valid across the rename.
     ///
     /// `rho` must be strictly increasing on the nulls it maps. Values
     /// order constants before nulls and nulls by id, so such a renaming
-    /// keeps the canonical tuple order: walking the old order yields the
-    /// renamed tuples in order, and every posting list is built by
-    /// appending. The copy starts a fresh round (empty delta).
-    pub fn rename_nulls(&self, rho: impl Fn(NullId) -> Option<NullId>) -> FactStore {
-        let rename = |t: &Vec<Value>| -> Option<Vec<Value>> {
-            t.iter()
-                .map(|&v| match v {
-                    Value::Null(n) => rho(n).map(Value::Null),
-                    c => Some(c),
-                })
-                .collect()
-        };
+    /// keeps the canonical tuple order and the order of every posting
+    /// list. The copy rewrites only what `rho` moves: a tuple whose
+    /// nulls `rho` fixes shares its allocation with `self`. The copy
+    /// starts a fresh round (empty delta).
+    pub fn rename_nulls(
+        &self,
+        rho: impl Fn(NullId) -> Option<NullId>,
+    ) -> (FactStore, Vec<(usize, TupleId)>) {
+        let mut dropped = Vec::new();
         let rels = self
             .rels
             .iter()
-            .map(|r| {
-                let mut out = RelStore::new(r.postings.len());
-                out.arena = vec![None; r.arena.len()];
-                let mut sorted: Vec<(Vec<Value>, TupleId)> = Vec::with_capacity(r.sorted.len());
-                for (t, &id) in &r.sorted {
-                    let Some(t) = rename(t) else { continue };
-                    for (pos, &v) in t.iter().enumerate() {
-                        out.postings[pos].entry(v).or_default().push(id);
-                        out.blooms[pos].add(v);
-                    }
-                    out.arena[id as usize] = Some(t.clone());
-                    sorted.push((t, id));
-                }
-                debug_assert!(
-                    sorted.windows(2).all(|w| w[0].0 < w[1].0),
-                    "a null renaming must be strictly increasing"
-                );
-                out.sorted = sorted.into_iter().collect();
+            .enumerate()
+            .map(|(rel, r)| {
+                let (out, gone) = r.rename_nulls(&rho);
+                dropped.extend(gone.into_iter().map(|id| (rel, id)));
                 out
             })
             .collect();
-        FactStore {
+        let store = FactStore {
             rels,
             ..FactStore::default()
-        }
+        };
+        (store, dropped)
     }
 
     /// The id of `tuple` in relation `rel`, if present.
@@ -431,8 +513,8 @@ impl FactStore {
 
     /// The tuple behind `id` in relation `rel`, or `None` when that id
     /// was removed (or never issued).
-    pub fn live_tuple(&self, rel: usize, id: TupleId) -> Option<&Vec<Value>> {
-        self.rels[rel].arena.get(id as usize)?.as_ref()
+    pub fn live_tuple(&self, rel: usize, id: TupleId) -> Option<&[Value]> {
+        self.rels[rel].arena.get(id as usize)?.as_deref()
     }
 
     /// Probe the counting bloom filter at `(rel, pos)`: `false` means
@@ -443,7 +525,9 @@ impl FactStore {
     }
 
     /// The set of values occurring in the store, cached until the
-    /// generation changes.
+    /// generation changes. It is read off the posting maps' key sets,
+    /// which hold exactly the values of live tuples, so no tuple is
+    /// scanned.
     pub fn active_domain(&self) -> Arc<BTreeSet<Value>> {
         let mut cache = self.adom_cache.lock().expect("cache lock");
         if let Some((gen, ref set)) = *cache {
@@ -451,13 +535,11 @@ impl FactStore {
                 return Arc::clone(set);
             }
         }
-        let set: Arc<BTreeSet<Value>> = Arc::new(
-            self.rels
-                .iter()
-                .flat_map(|r| r.sorted.keys())
-                .flat_map(|t| t.iter().copied())
-                .collect(),
-        );
+        let mut set = BTreeSet::new();
+        for map in self.rels.iter().flat_map(|r| &r.postings) {
+            set.extend(map.keys().copied());
+        }
+        let set = Arc::new(set);
         *cache = Some((self.generation, Arc::clone(&set)));
         set
     }
@@ -515,7 +597,7 @@ impl FactStore {
         let mut rels: Vec<Vec<Vec<Value>>> = self
             .rels
             .iter()
-            .map(|r| r.sorted.keys().cloned().collect())
+            .map(|r| r.sorted.keys().map(|t| t.to_vec()).collect())
             .collect();
         for _ in 0..2 {
             let mut map: HashMap<NullId, NullId> = HashMap::new();
@@ -571,7 +653,7 @@ mod tests {
         assert!(s.insert(0, vec![v("b"), v("x")]));
         assert!(s.insert(0, vec![v("a"), v("y")]));
         assert!(!s.insert(0, vec![v("a"), v("y")]));
-        let tuples: Vec<&Vec<Value>> = s.tuples(0).collect();
+        let tuples: Vec<&[Value]> = s.tuples(0).collect();
         assert_eq!(tuples, [&vec![v("a"), v("y")], &vec![v("b"), v("x")]]);
         assert_eq!(s.rel_len(0), 2);
     }
@@ -582,7 +664,7 @@ mod tests {
         s.insert(0, vec![v("b"), v("m")]);
         s.insert(0, vec![v("a"), v("m")]);
         s.insert(0, vec![v("c"), v("n")]);
-        let at_m: Vec<&Vec<Value>> = s
+        let at_m: Vec<&[Value]> = s
             .posting(0, 1, v("m"))
             .iter()
             .map(|&id| s.tuple(0, id))
@@ -644,13 +726,13 @@ mod tests {
         s.insert(0, vec![n(4), n(3)]);
         s.insert(0, vec![n(7), v("a")]);
         // 3 → 10, 4 dropped, 5 → 11, 7 → 12: strictly increasing.
-        let r = s.rename_nulls(|id| match id.0 {
+        let (r, dropped) = s.rename_nulls(|id| match id.0 {
             3 => Some(NullId(10)),
             5 => Some(NullId(11)),
             7 => Some(NullId(12)),
             _ => None,
         });
-        let tuples: Vec<&Vec<Value>> = r.tuples(0).collect();
+        let tuples: Vec<&[Value]> = r.tuples(0).collect();
         assert_eq!(
             tuples,
             [
@@ -660,7 +742,7 @@ mod tests {
             ]
         );
         // Postings follow tuple order; blooms and caches see new ids.
-        let at_a: Vec<&Vec<Value>> = r
+        let at_a: Vec<&[Value]> = r
             .posting(0, 1, v("a"))
             .iter()
             .map(|&id| r.tuple(0, id))
@@ -670,10 +752,11 @@ mod tests {
         assert!(!r.bloom_admits(0, 0, n(3)));
         // Ids survive; the dropped tuple's id is dead.
         let id = s.tuple_id(0, &[n(3), v("b")]).unwrap();
-        assert_eq!(r.live_tuple(0, id), Some(&vec![n(10), v("b")]));
+        assert_eq!(r.live_tuple(0, id), Some(&[n(10), v("b")][..]));
         assert_eq!(r.tuple_id(0, &[n(10), v("b")]), Some(id));
         let gone = s.tuple_id(0, &[n(4), n(3)]).unwrap();
         assert_eq!(r.live_tuple(0, gone), None);
+        assert_eq!(dropped, [(0, gone)]);
         assert_eq!(r.delta_len(), 0);
         let mut fresh = FactStore::new(&[2]);
         for t in [[v("a"), n(11)], [n(10), v("b")], [n(12), v("a")]] {
@@ -681,6 +764,50 @@ mod tests {
         }
         assert_eq!(r, fresh);
         assert_eq!(r.fingerprint(), fresh.fingerprint());
+    }
+
+    /// The allocation behind tuple `id` of relation `rel`.
+    fn shared(s: &FactStore, rel: usize, id: TupleId) -> &Tuple {
+        s.rels[rel].arena[id as usize].as_ref().expect("live")
+    }
+
+    #[test]
+    fn clones_and_renames_share_the_tuples_they_keep() {
+        let n = |i| Value::null(i);
+        let mut s = FactStore::new(&[2]);
+        s.insert(0, vec![v("a"), v("b")]); // constants only
+        s.insert(0, vec![v("a"), n(2)]); // ρ fixes ~2
+        s.insert(0, vec![n(3), v("b")]); // ρ moves ~3
+        s.insert(0, vec![n(2), n(4)]); // ρ drops ~4
+        let ids: Vec<TupleId> = s.tuples(0).map(|t| s.tuple_id(0, t).unwrap()).collect();
+        // A clone copies pointers: every tuple shares its allocation, and
+        // the canonical index points at the arena's allocation.
+        let c = s.clone();
+        for &id in &ids {
+            assert!(Arc::ptr_eq(shared(&c, 0, id), shared(&s, 0, id)));
+        }
+        for (t, &id) in &c.rels[0].sorted {
+            assert!(Arc::ptr_eq(t, shared(&c, 0, id)));
+        }
+        let (r, dropped) = s.rename_nulls(|id| match id.0 {
+            2 => Some(NullId(2)),
+            3 => Some(NullId(5)),
+            _ => None,
+        });
+        let id = |t: &[Value]| s.tuple_id(0, t).unwrap();
+        assert_eq!(dropped, [(0, id(&[n(2), n(4)]))]);
+        for fixed in [&[v("a"), v("b")][..], &[v("a"), n(2)]] {
+            assert!(Arc::ptr_eq(
+                shared(&r, 0, id(fixed)),
+                shared(&s, 0, id(fixed))
+            ));
+        }
+        let moved = id(&[n(3), v("b")]);
+        assert!(!Arc::ptr_eq(shared(&r, 0, moved), shared(&s, 0, moved)));
+        assert_eq!(r.live_tuple(0, moved), Some(&[n(5), v("b")][..]));
+        for (t, &id) in &r.rels[0].sorted {
+            assert!(Arc::ptr_eq(t, shared(&r, 0, id)));
+        }
     }
 
     #[test]
